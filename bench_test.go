@@ -11,6 +11,7 @@
 package relperf_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -238,6 +239,15 @@ func BenchmarkEnergySwitching(b *testing.B) {
 	b.ReportMetric(sess.PeakEnergy, "peak-joules")
 }
 
+// forkOver adapts cmp into a core Fork over fixed samples: each
+// repetition compares on its own fork of cmp.
+func forkOver(cmp compare.Comparator, samples [][]float64) func(uint64) core.CompareFunc {
+	return func(seed uint64) core.CompareFunc {
+		c := cmp.Fork(seed)
+		return func(i, j int) (compare.Outcome, error) { return c.Compare(samples[i], samples[j]) }
+	}
+}
+
 // A1 — comparator ablation: cluster the same Table-I measurements with
 // every comparator; the bootstrap's class structure is the reference, the
 // mean-threshold baseline under- or over-merges.
@@ -264,8 +274,7 @@ func BenchmarkComparatorAblation(b *testing.B) {
 	for name, cmp := range comparators {
 		cmp := cmp
 		b.Run(name, func(b *testing.B) {
-			cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
-			res, err := core.Cluster(len(pls), cf, core.ClusterOptions{Reps: 50, Seed: 3})
+			res, err := core.Cluster(len(pls), core.ClusterOptions{Reps: 50, Seed: 3, Fork: forkOver(cmp, samples)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -301,7 +310,7 @@ func BenchmarkRepSensitivity(b *testing.B) {
 	cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
 	for _, reps := range []int{10, 100, 1000} {
 		b.Run("rep="+itoa(reps), func(b *testing.B) {
-			res, err := core.Cluster(len(pls), cf, core.ClusterOptions{Reps: reps, Seed: 3})
+			res, err := core.Cluster(len(pls), core.ClusterOptions{Reps: reps, Seed: 3, Fork: forkOver(cmp, samples)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -395,13 +404,13 @@ func BenchmarkGuidedSearch(b *testing.B) {
 			Measure: func() (float64, error) { return s.Seconds(prog, pl) },
 		})
 	}
-	res, err := search.Race(arms, compare.NewBootstrap(6), search.Config{RoundSize: 10, MaxRounds: 6})
+	res, err := search.Race(context.Background(), arms, compare.NewBootstrap(6), search.Config{RoundSize: 10, MaxRounds: 6, Seed: 6}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Race(arms, compare.NewBootstrap(uint64(i)), search.Config{RoundSize: 10, MaxRounds: 6}); err != nil {
+		if _, err := search.Race(context.Background(), arms, compare.NewBootstrap(uint64(i)), search.Config{RoundSize: 10, MaxRounds: 6, Seed: uint64(i)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -312,10 +312,10 @@ func cmdRace(args []string) error {
 			Measure: func() (float64, error) { return s.Seconds(prog, pl) },
 		})
 	}
-	// RaceOn forks the bootstrap comparator per pair and races the
+	// Race forks the bootstrap comparator per pair and races the
 	// elimination comparisons in parallel; the seed keys every stream, so
 	// the survivors are identical at any -workers.
-	res, err := search.RaceOn(context.Background(), arms, compare.NewBootstrap(*seed+1), search.Config{
+	res, err := search.Race(context.Background(), arms, compare.NewBootstrap(*seed+1), search.Config{
 		RoundSize: *round, MaxRounds: *rounds, Seed: *seed + 2, Workers: *workers,
 	}, nil)
 	if err != nil {

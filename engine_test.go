@@ -135,7 +135,7 @@ func TestClusterWorkerDeterminism(t *testing.T) {
 	}
 	for _, seed := range []uint64{3, 19, 101} {
 		run := func(workers int) *core.ClusterResult {
-			cr, err := core.Cluster(len(data), nil, core.ClusterOptions{
+			cr, err := core.Cluster(len(data), core.ClusterOptions{
 				Reps: 40, Seed: seed, Workers: workers, Fork: fork,
 			})
 			if err != nil {
@@ -229,46 +229,6 @@ func TestClusterSamplesWithMatrix(t *testing.T) {
 			t.Fatalf("ranks = %v", fa.Rank)
 		}
 	}
-}
-
-// TestStudyNonForkableComparatorSerialFallback: a custom comparator that
-// does not implement Forker still works (serial clustering path).
-func TestStudyNonForkableComparatorSerialFallback(t *testing.T) {
-	cmp := compare.Func(func(a, b []float64) (compare.Outcome, error) {
-		ma, mb := mean(a), mean(b)
-		switch {
-		case ma < mb:
-			return compare.Better, nil
-		case ma > mb:
-			return compare.Worse, nil
-		default:
-			return compare.Equivalent, nil
-		}
-	})
-	study, err := NewStudy(StudyConfig{Program: smallProgram(), N: 10, Reps: 10, Comparator: cmp, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := study.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Matrix requested but comparator not forkable: must still succeed via
-	// the serial fallback.
-	study, err = NewStudy(StudyConfig{Program: smallProgram(), N: 10, Reps: 10, Comparator: cmp, Matrix: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := study.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // TestEngineRaceExercise drives every parallel path at full width so `go

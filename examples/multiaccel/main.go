@@ -58,9 +58,14 @@ func main() {
 		}
 	}
 
-	cmp := compare.NewBootstrap(11)
-	cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
-	res, err := core.Cluster(len(placements), cf, core.ClusterOptions{Reps: 60, Seed: 13})
+	// Every repetition compares on its own fork of the bootstrap
+	// comparator, seeded from the clustering seed.
+	proto := compare.NewBootstrap(11)
+	fork := func(seed uint64) core.CompareFunc {
+		cmp := proto.Fork(seed)
+		return func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
+	}
+	res, err := core.Cluster(len(placements), core.ClusterOptions{Reps: 60, Seed: 13, Fork: fork})
 	if err != nil {
 		log.Fatal(err)
 	}

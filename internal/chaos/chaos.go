@@ -38,6 +38,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"strings"
 	"sync"
@@ -350,6 +351,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		case ActionPause:
 			_ = sup.Signal(syscall.SIGSTOP)
 			paused = true
+			waitStopped(sup.Pid(), cfg.RejoinBound)
 		case ActionSlowStart:
 			doom[target].Store(true)
 			_ = sup.Signal(syscall.SIGKILL)
@@ -668,4 +670,27 @@ func getStudy(client *http.Client, coordURL, fp string) ([]byte, error) {
 		return nil, fmt.Errorf("GET /v1/studies/%s: %d %s", fp, resp.StatusCode, body)
 	}
 	return body, nil
+}
+
+// waitStopped waits until the process pid is seen stopped (state T in
+// /proc/<pid>/stat), for at most bound. kill(2) returns as soon as SIGSTOP
+// is queued, and the child's other threads keep serving until one of them
+// takes the signal and stops the whole group; on a loaded machine that
+// window is long enough for an HTTP request to reach a "paused" worker.
+// Without procfs it returns at once, and on timeout it returns too: the
+// caller's own checks then report the worker that never stopped.
+func waitStopped(pid int, bound time.Duration) {
+	deadline := time.Now().Add(bound)
+	for time.Now().Before(deadline) {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			return
+		}
+		// The state is the field after the parenthesized command name,
+		// which may itself contain spaces or parentheses.
+		if i := bytes.LastIndexByte(stat, ')'); i >= 0 && i+2 < len(stat) && (stat[i+2] == 'T' || stat[i+2] == 't') {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -21,15 +21,13 @@
 // # Concurrency and determinism
 //
 // Comparators are not safe for concurrent use (the bootstrap owns an RNG and
-// scratch buffers). Parallel engines instead rely on the Forker interface:
-// Fork(seed) returns an independent comparator clone whose randomness is
-// fully determined by the seed, so a clustering layer can hand every
-// concurrent repetition its own deterministically-seeded comparator and
-// produce bit-identical results at any worker count. Every named comparator
-// in this package implements Forker — the deterministic ones (KS,
-// MannWhitney, MeanThreshold) are stateless and fork to themselves — but the
-// plain-function Func adapter deliberately does not, so function-backed
-// comparators take the serial clustering path unless wrapped in a Forker.
+// scratch buffers). Every Comparator therefore also forks: Fork(seed)
+// returns an independent clone whose randomness is fully determined by the
+// seed, so the clustering and racing engines hand every concurrent
+// repetition or pair its own deterministically-seeded comparator and
+// produce bit-identical results at any worker count. The deterministic
+// comparators (KS, MannWhitney, MeanThreshold, SketchComparator) are
+// stateless and fork to themselves.
 package compare
 
 import (
@@ -75,23 +73,17 @@ func (o Outcome) Flip() Outcome { return -o }
 var ErrBadSample = errors.New("compare: sample must contain at least one measurement")
 
 // Comparator decides the relative performance of two measurement sets.
-// Implementations may be stochastic (the bootstrap comparator is); callers
-// that need reproducibility must construct comparators from seeded RNGs.
+// Implementations may be stochastic (the bootstrap comparator is); Fork is
+// how callers get reproducible, independently seeded clones of one.
 type Comparator interface {
 	// Compare returns Better if a is significantly faster than b, Worse if
 	// significantly slower, and Equivalent otherwise.
 	Compare(a, b []float64) (Outcome, error)
-}
-
-// Forker is implemented by comparators that can produce independent,
-// deterministically-seeded clones of themselves. Parallel clustering engines
-// fork one comparator per repetition (or per pair) so that concurrent
-// comparisons never share RNG state and results are bit-identical for equal
-// seeds regardless of scheduling. Deterministic comparators may simply return
-// themselves.
-type Forker interface {
 	// Fork returns a comparator with the same decision parameters whose
-	// stochastic behaviour (if any) is fully determined by seed.
+	// stochastic behaviour (if any) is fully determined by seed. Engines
+	// fork one comparator per repetition (or per pair), so concurrent
+	// comparisons never share RNG state. Deterministic comparators may
+	// simply return themselves.
 	Fork(seed uint64) Comparator
 }
 
@@ -207,19 +199,9 @@ func NewBootstrap(seed uint64) *Bootstrap {
 	}
 }
 
-// NewBootstrapFrom returns a bootstrap comparator drawing randomness from an
-// existing generator. Serial callers only: parallel engines should seed
-// per-unit comparators with NewBootstrap(xrand.Mix(seed, unit)) or Fork,
-// never by threading a shared stream through this constructor.
-func NewBootstrapFrom(rng *xrand.Rand) *Bootstrap {
-	b := NewBootstrap(0)
-	b.rng = rng
-	return b
-}
-
-// Fork implements Forker: the clone shares the decision parameters but owns a
-// fresh generator seeded by seed and its own kernel caches, so forks are safe
-// to use concurrently with each other and with the parent.
+// Fork implements Comparator: the clone shares the decision parameters but
+// owns a fresh generator seeded by seed and its own kernel caches, so forks
+// are safe to use concurrently with each other and with the parent.
 func (c *Bootstrap) Fork(seed uint64) Comparator {
 	return &Bootstrap{
 		rng:       xrand.New(seed),
@@ -416,8 +398,8 @@ func (c KS) CompareSorted(a, b *stats.SortedSample) (Outcome, error) {
 	return Worse, nil
 }
 
-// Fork implements Forker; KS is deterministic and stateless, so the fork is
-// the comparator itself.
+// Fork implements Comparator; KS is deterministic and stateless, so the fork
+// is the comparator itself.
 func (c KS) Fork(uint64) Comparator { return c }
 
 // MannWhitney is a deterministic comparator using the Mann–Whitney U test.
@@ -446,7 +428,7 @@ func (c MannWhitney) Compare(a, b []float64) (Outcome, error) {
 	return Worse, nil
 }
 
-// Fork implements Forker; MannWhitney is deterministic and stateless.
+// Fork implements Comparator; MannWhitney is deterministic and stateless.
 func (c MannWhitney) Fork(uint64) Comparator { return c }
 
 // MeanThreshold is the naive single-number baseline the paper argues
@@ -484,11 +466,5 @@ func (c MeanThreshold) Compare(a, b []float64) (Outcome, error) {
 	}
 }
 
-// Fork implements Forker; MeanThreshold is deterministic and stateless.
+// Fork implements Comparator; MeanThreshold is deterministic and stateless.
 func (c MeanThreshold) Fork(uint64) Comparator { return c }
-
-// Func adapts a plain function to the Comparator interface.
-type Func func(a, b []float64) (Outcome, error)
-
-// Compare implements Comparator.
-func (f Func) Compare(a, b []float64) (Outcome, error) { return f(a, b) }

@@ -147,8 +147,7 @@ func TestBootstrapDefaultsApplied(t *testing.T) {
 	// Zero-valued config fields fall back to defaults rather than
 	// dividing by zero.
 	c := &Bootstrap{}
-	cFromSeed := NewBootstrapFrom(xrand.New(3))
-	c.rng = cFromSeed.rng
+	c.rng = xrand.New(3)
 	c.Rounds = 0
 	c.Margin = 0
 	c.Quantiles = nil
@@ -260,18 +259,6 @@ func TestMeanThresholdComparator(t *testing.T) {
 	}
 }
 
-func TestFuncAdapter(t *testing.T) {
-	called := false
-	f := Func(func(a, b []float64) (Outcome, error) {
-		called = true
-		return Better, nil
-	})
-	o, err := f.Compare(nil, nil)
-	if err != nil || o != Better || !called {
-		t.Fatal("Func adapter broken")
-	}
-}
-
 func TestComparatorsAgreeOnObviousCases(t *testing.T) {
 	// All comparators must agree when distributions are far apart.
 	rng := xrand.New(16)
@@ -365,9 +352,9 @@ func TestBootstrapForkDeterministic(t *testing.T) {
 	}
 }
 
-func TestDeterministicForkersReturnSelf(t *testing.T) {
-	for _, c := range []Forker{KS{}, MannWhitney{}, MeanThreshold{}} {
-		if c.Fork(123) != c.(Comparator) {
+func TestDeterministicComparatorsForkToSelf(t *testing.T) {
+	for _, c := range []Comparator{KS{}, MannWhitney{}, MeanThreshold{}} {
+		if c.Fork(123) != c {
 			t.Fatalf("%T fork is not itself", c)
 		}
 	}

@@ -94,5 +94,5 @@ func (c SketchComparator) Compare(a, b []float64) (Outcome, error) {
 	return c.threshold(winRate(stats.Quantiles(a, qs), stats.Quantiles(b, qs))), nil
 }
 
-// Fork implements Forker; the comparator is deterministic and stateless.
+// Fork implements Comparator; the comparator is deterministic and stateless.
 func (c SketchComparator) Fork(uint64) Comparator { return c }

@@ -117,10 +117,6 @@ func TestSketchComparatorFork(t *testing.T) {
 	if len(f.Quantiles) != 1 || f.Quantiles[0] != 0.5 || f.Margin != 0.1 {
 		t.Fatalf("Fork altered configuration: %+v", f)
 	}
-	var iface Comparator = c
-	if _, ok := iface.(Forker); !ok {
-		t.Fatal("SketchComparator must implement Forker")
-	}
 }
 
 func TestSketchComparatorDeterministic(t *testing.T) {

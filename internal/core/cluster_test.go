@@ -1,24 +1,44 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"relperf/internal/compare"
 	"relperf/internal/xrand"
 )
 
+// fixedFork adapts a deterministic, concurrency-safe comparison into a
+// Fork: every repetition shares it and the seed is ignored.
+func fixedFork(cf CompareFunc) func(uint64) CompareFunc {
+	return func(uint64) CompareFunc { return cf }
+}
+
+// Equivalence probabilities of scoresComparator's two stochastic pairs.
+const (
+	pEquivADAA = 1.0 / 3.0
+	pEquivDDDA = 0.7
+)
+
 // scoresComparator models the Section III relative-score example: the same
 // ground truth as Figure 2, but at N=30 the AD-vs-AA comparison evaluates
 // "equivalent" once in every three comparisons, and the DD-vs-DA pair is
-// mostly equivalent with occasional splits.
+// mostly equivalent with occasional splits. It has the Fork shape: each seed
+// yields an independent stream over the same ground truth.
 func scoresComparator(seed uint64) CompareFunc {
 	rng := xrand.New(seed)
+	return scoresOutcomes(func(pEquiv float64) bool { return rng.Bernoulli(pEquiv) })
+}
+
+// scoresOutcomes is scoresComparator's decision table; equiv decides each
+// stochastic comparison, given the pair's equivalence probability.
+func scoresOutcomes(equiv func(pEquiv float64) bool) CompareFunc {
 	class := map[int]int{algAD: 0, algAA: 1, algDD: 2, algDA: 2}
 	return func(i, j int) (compare.Outcome, error) {
 		ci, cj := class[i], class[j]
 		// The borderline pair: AD vs AA.
 		if (i == algAD && j == algAA) || (i == algAA && j == algAD) {
-			if rng.Bernoulli(1.0 / 3.0) {
+			if equiv(pEquivADAA) {
 				return compare.Equivalent, nil
 			}
 			if i == algAD {
@@ -29,7 +49,7 @@ func scoresComparator(seed uint64) CompareFunc {
 		// The overlapping pair: DD vs DA, equivalent 70% of the time with
 		// DD slightly ahead otherwise.
 		if (i == algDD && j == algDA) || (i == algDA && j == algDD) {
-			if rng.Bernoulli(0.7) {
+			if equiv(pEquivDDDA) {
 				return compare.Equivalent, nil
 			}
 			if i == algDD {
@@ -48,16 +68,78 @@ func scoresComparator(seed uint64) CompareFunc {
 	}
 }
 
+// exactScores returns the exact expected relative scores of
+// scoresComparator under Procedure 4: want[alg][r-1] is the probability
+// that alg lands rank r, averaged over all 24 equally likely initial orders
+// and summed over the comparator's outcome tree. Each order's tree is
+// walked depth-first by replaying a path of branch choices (0 =
+// equivalent, 1 = decisive) through Sort, advancing it like an odometer.
+func exactScores(t *testing.T) [4][4]float64 {
+	t.Helper()
+	var want [4][4]float64
+	orders := permutations([]int{0, 1, 2, 3})
+	for _, initial := range orders {
+		var path []int
+		for {
+			prob, depth := 1.0, 0
+			cf := scoresOutcomes(func(pEquiv float64) bool {
+				if depth == len(path) {
+					path = append(path, 0)
+				}
+				c := path[depth]
+				depth++
+				if c == 0 {
+					prob *= pEquiv
+					return true
+				}
+				prob *= 1 - pEquiv
+				return false
+			})
+			sr, err := Sort(4, cf, SortOptions{Initial: initial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pos, alg := range sr.Order {
+				want[alg][sr.Ranks[pos]-1] += prob / float64(len(orders))
+			}
+			for len(path) > 0 && path[len(path)-1] == 1 {
+				path = path[:len(path)-1]
+			}
+			if len(path) == 0 {
+				break
+			}
+			path[len(path)-1] = 1
+		}
+	}
+	return want
+}
+
+// permutations lists every ordering of xs.
+func permutations(xs []int) [][]int {
+	if len(xs) <= 1 {
+		return [][]int{append([]int(nil), xs...)}
+	}
+	var out [][]int
+	for i := range xs {
+		rest := append(append([]int(nil), xs[:i]...), xs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]int{xs[i]}, p...))
+		}
+	}
+	return out
+}
+
 func TestClusterRelativeScoreExample(t *testing.T) {
 	// Reproduces the structure of the paper's Section III scores:
-	//   C1: {AD 1.0, AA ≈ 0.3}
-	//   C2: {AA ≈ 0.7, DD, DA}
+	//   C1: {AD 1.0, AA ≈ 0.4}
+	//   C2: {AA ≈ 0.6, DD, DA}
 	//   lower clusters: DD, DA with the remaining mass.
-	res, err := Cluster(4, scoresComparator(11), ClusterOptions{Reps: 1000, Seed: 5})
+	const reps = 1000
+	res, err := Cluster(4, ClusterOptions{Reps: reps, Seed: 5, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reps != 1000 || res.P != 4 {
+	if res.Reps != reps || res.P != 4 {
 		t.Fatalf("meta wrong: %+v", res)
 	}
 
@@ -76,13 +158,18 @@ func TestClusterRelativeScoreExample(t *testing.T) {
 	if !almostEq(res.Scores[algAD][0], 1.0, 1e-9) {
 		t.Fatalf("AD rank-1 score = %v, want 1.0", res.Scores[algAD][0])
 	}
-	// AA lands in C1 roughly 1/3 of the time ("once in every three
-	// comparisons") and in C2 the rest.
-	if s := res.Scores[algAA][0]; s < 0.23 || s > 0.43 {
-		t.Fatalf("AA rank-1 score = %v, want ≈ 0.33", s)
-	}
-	if s := res.Scores[algAA][1]; s < 0.57 || s > 0.77 {
-		t.Fatalf("AA rank-2 score = %v, want ≈ 0.67", s)
+	// AA shares C1 with AD whenever an AD-AA comparison comes out
+	// equivalent ("once in every three comparisons"). Some initial orders
+	// compare the pair more than once, so the exact rank-1 score is above
+	// 1/3; each rank score is a binomial proportion over the repetitions,
+	// so it must lie within 4σ of the exact value.
+	want := exactScores(t)
+	for r := 0; r < 2; r++ {
+		p := want[algAA][r]
+		sigma := math.Sqrt(p * (1 - p) / reps)
+		if s := res.Scores[algAA][r]; math.Abs(s-p) > 4*sigma {
+			t.Fatalf("AA rank-%d score = %v, want %.4f ± %.4f (4σ)", r+1, s, p, 4*sigma)
+		}
 	}
 	// DD and DA never reach the top cluster.
 	if res.Scores[algDD][0] != 0 || res.Scores[algDA][0] != 0 {
@@ -107,7 +194,7 @@ func TestClusterRelativeScoreExample(t *testing.T) {
 func TestClusterFinalAssignmentExample(t *testing.T) {
 	// The paper's final clustering from the same example:
 	//   C1: {AD 1.0}; C2: {AA 1.0}; C3: {DD 1.0, DA ≈ 0.9}
-	res, err := Cluster(4, scoresComparator(23), ClusterOptions{Reps: 1000, Seed: 9})
+	res, err := Cluster(4, ClusterOptions{Reps: 1000, Seed: 9, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +236,11 @@ func TestClusterFinalAssignmentExample(t *testing.T) {
 }
 
 func TestClusterDeterministicGivenSeeds(t *testing.T) {
-	a, err := Cluster(4, scoresComparator(3), ClusterOptions{Reps: 50, Seed: 4})
+	a, err := Cluster(4, ClusterOptions{Reps: 50, Seed: 4, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(4, scoresComparator(3), ClusterOptions{Reps: 50, Seed: 4})
+	b, err := Cluster(4, ClusterOptions{Reps: 50, Seed: 4, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +254,19 @@ func TestClusterDeterministicGivenSeeds(t *testing.T) {
 }
 
 func TestClusterErrors(t *testing.T) {
-	if _, err := Cluster(0, fig2Comparator, ClusterOptions{}); err != ErrNoAlgorithms {
+	if _, err := Cluster(0, ClusterOptions{Fork: fixedFork(fig2Comparator)}); err != ErrNoAlgorithms {
 		t.Fatal("p=0 accepted")
 	}
 	boom := func(i, j int) (compare.Outcome, error) {
 		return 0, compare.ErrBadSample
 	}
-	if _, err := Cluster(3, boom, ClusterOptions{Reps: 2}); err == nil {
+	if _, err := Cluster(3, ClusterOptions{Reps: 2, Fork: fixedFork(boom)}); err == nil {
 		t.Fatal("comparator error swallowed")
 	}
 }
 
 func TestClusterDefaultReps(t *testing.T) {
-	res, err := Cluster(4, fig2Comparator, ClusterOptions{})
+	res, err := Cluster(4, ClusterOptions{Fork: fixedFork(fig2Comparator)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +278,7 @@ func TestClusterDefaultReps(t *testing.T) {
 func TestClusterDeterministicComparatorGivesCrispScores(t *testing.T) {
 	// With the deterministic Figure-2 comparator every repetition must land
 	// the same clusters regardless of the shuffle.
-	res, err := Cluster(4, fig2Comparator, ClusterOptions{Reps: 200, Seed: 17})
+	res, err := Cluster(4, ClusterOptions{Reps: 200, Seed: 17, Fork: fixedFork(fig2Comparator)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +298,7 @@ func TestClusterDeterministicComparatorGivesCrispScores(t *testing.T) {
 }
 
 func TestClusterSingleAlgorithm(t *testing.T) {
-	res, err := Cluster(1, fig2Comparator, ClusterOptions{Reps: 10})
+	res, err := Cluster(1, ClusterOptions{Reps: 10, Fork: fixedFork(fig2Comparator)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +341,7 @@ func TestFinalizeCompactsGaps(t *testing.T) {
 }
 
 func TestClusterMembershipListsSortedByScore(t *testing.T) {
-	res, err := Cluster(4, scoresComparator(31), ClusterOptions{Reps: 500, Seed: 7})
+	res, err := Cluster(4, ClusterOptions{Reps: 500, Seed: 7, Fork: scoresComparator})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +355,8 @@ func TestClusterMembershipListsSortedByScore(t *testing.T) {
 }
 
 func BenchmarkCluster8AlgsRep100(b *testing.B) {
-	cmp := scoresComparator(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(4, cmp, ClusterOptions{Reps: 100, Seed: uint64(i)}); err != nil {
+		if _, err := Cluster(4, ClusterOptions{Reps: 100, Seed: uint64(i), Fork: scoresComparator}); err != nil {
 			b.Fatal(err)
 		}
 	}

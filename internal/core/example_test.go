@@ -41,6 +41,8 @@ func ExampleSort() {
 
 // ExampleCluster computes relative scores over repeated shuffled sorts with
 // a deterministic comparator: every algorithm lands its class with score 1.
+// Fork hands each repetition its comparison; a deterministic one ignores
+// the seed.
 func ExampleCluster() {
 	class := []int{2, 1, 2, 0}
 	cmp := func(i, j int) (compare.Outcome, error) {
@@ -53,7 +55,8 @@ func ExampleCluster() {
 			return compare.Equivalent, nil
 		}
 	}
-	res, err := core.Cluster(4, cmp, core.ClusterOptions{Reps: 50, Seed: 1})
+	fork := func(uint64) core.CompareFunc { return cmp }
+	res, err := core.Cluster(4, core.ClusterOptions{Reps: 50, Seed: 1, Fork: fork})
 	if err != nil {
 		panic(err)
 	}

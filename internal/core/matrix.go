@@ -124,7 +124,7 @@ func ClusterMatrix(p int, opts MatrixOptions) (*ClusterResult, error) {
 			return o, nil
 		}
 	}
-	return Cluster(p, nil, ClusterOptions{
+	return Cluster(p, ClusterOptions{
 		Reps:    opts.Reps,
 		Seed:    clusterSeed,
 		Workers: opts.Workers,
@@ -149,7 +149,7 @@ func pairOutcomeDists(p, trials int, opts MatrixOptions) ([]pairDist, error) {
 	nPairs := p * (p - 1) / 2
 	dists := make([]pairDist, nPairs)
 	pairSeed := xrand.Mix(opts.Seed, 1)
-	err := forEach(opts.Ctx, opts.Pool, nPairs, opts.Workers, func(k int) error {
+	err := pool.ForEach(opts.Ctx, opts.Pool, nPairs, opts.Workers, func(k int) error {
 		i, j := pairFromIndex(p, k)
 		cmp := opts.Fork(xrand.Mix(pairSeed, uint64(k)))
 		var better, equiv, executed int

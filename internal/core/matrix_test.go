@@ -10,13 +10,6 @@ import (
 	"relperf/internal/xrand"
 )
 
-// forkableScores adapts the Section-III scores comparator into a Fork: each
-// seed yields an independent deterministic stream over the same ground
-// truth.
-func forkableScores(seed uint64) CompareFunc {
-	return scoresComparator(seed)
-}
-
 func TestPairIndexRoundTrip(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 13} {
 		k := 0
@@ -38,7 +31,7 @@ func TestPairIndexRoundTrip(t *testing.T) {
 func TestClusterMatrixWorkerDeterminism(t *testing.T) {
 	run := func(workers int) *ClusterResult {
 		cr, err := ClusterMatrix(4, MatrixOptions{
-			Reps: 50, Trials: 24, Workers: workers, Seed: 9, Fork: forkableScores,
+			Reps: 50, Trials: 24, Workers: workers, Seed: 9, Fork: scoresComparator,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +59,7 @@ func TestClusterMatrixPreservesFractionalScores(t *testing.T) {
 	// distribution must keep AD's and AA's rank-1 mass fractional, like the
 	// live path.
 	cr, err := ClusterMatrix(4, MatrixOptions{
-		Reps: 400, Trials: 120, Seed: 3, Fork: forkableScores,
+		Reps: 400, Trials: 120, Seed: 3, Fork: scoresComparator,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +127,7 @@ func TestClusterMatrixAdaptiveTrials(t *testing.T) {
 }
 
 func TestClusterMatrixValidation(t *testing.T) {
-	if _, err := ClusterMatrix(0, MatrixOptions{Fork: forkableScores}); err == nil {
+	if _, err := ClusterMatrix(0, MatrixOptions{Fork: scoresComparator}); err == nil {
 		t.Fatal("p=0 accepted")
 	}
 	if _, err := ClusterMatrix(3, MatrixOptions{}); err == nil {
@@ -162,14 +155,16 @@ func TestClusterForkErrorPropagates(t *testing.T) {
 	fork := func(seed uint64) CompareFunc {
 		return func(i, j int) (compare.Outcome, error) { return compare.Equivalent, boom }
 	}
-	if _, err := Cluster(4, nil, ClusterOptions{Reps: 8, Workers: 4, Fork: fork}); !errors.Is(err, boom) {
+	if _, err := Cluster(4, ClusterOptions{Reps: 8, Workers: 4, Fork: fork}); !errors.Is(err, boom) {
 		t.Fatalf("repetition error not propagated: %v", err)
 	}
 }
 
+// TestClusterNilCmpAndForkRejected: Fork is the only way to supply the
+// comparison, so a nil Fork is rejected.
 func TestClusterNilCmpAndForkRejected(t *testing.T) {
-	if _, err := Cluster(3, nil, ClusterOptions{Reps: 5}); err == nil {
-		t.Fatal("nil cmp without Fork accepted")
+	if _, err := Cluster(3, ClusterOptions{Reps: 5}); err == nil {
+		t.Fatal("nil Fork accepted")
 	}
 }
 
@@ -177,7 +172,7 @@ func TestClusterForkSingleAlgorithm(t *testing.T) {
 	fork := func(seed uint64) CompareFunc {
 		return func(i, j int) (compare.Outcome, error) { return compare.Equivalent, nil }
 	}
-	cr, err := Cluster(1, nil, ClusterOptions{Reps: 5, Fork: fork})
+	cr, err := Cluster(1, ClusterOptions{Reps: 5, Fork: fork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +189,9 @@ func TestClusterForkSingleAlgorithm(t *testing.T) {
 }
 
 // TestForkedBootstrapAgainstSerial: clustering measured-style data with
-// forked bootstrap comparators yields the same class structure as the
-// legacy serial path on clearly separated inputs.
+// forked bootstrap comparators yields the same class structure as a single
+// serial Procedure-1 sort with one shared bootstrap comparator on clearly
+// separated inputs.
 func TestForkedBootstrapAgainstSerial(t *testing.T) {
 	rng := xrand.New(31)
 	data := make([][]float64, 4)
@@ -211,22 +207,22 @@ func TestForkedBootstrapAgainstSerial(t *testing.T) {
 		c := proto.Fork(seed)
 		return func(i, j int) (compare.Outcome, error) { return c.Compare(data[i], data[j]) }
 	}
-	parallel, err := Cluster(4, nil, ClusterOptions{Reps: 30, Seed: 2, Workers: 4, Fork: fork})
+	parallel, err := Cluster(4, ClusterOptions{Reps: 30, Seed: 2, Workers: 4, Fork: fork})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialCmp := compare.NewBootstrap(3)
 	cf := func(i, j int) (compare.Outcome, error) { return serialCmp.Compare(data[i], data[j]) }
-	serial, err := Cluster(4, cf, ClusterOptions{Reps: 30, Seed: 2})
+	serial, err := Sort(4, cf, SortOptions{Initial: []int{3, 1, 0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parallel.K != serial.K {
-		t.Fatalf("class counts differ on separated data: parallel %d, serial %d", parallel.K, serial.K)
+	if parallel.K != serial.K() {
+		t.Fatalf("class counts differ on separated data: parallel %d, serial %d", parallel.K, serial.K())
 	}
 	for a := 0; a < 4; a++ {
-		if parallel.Scores[a][a] != 1 || serial.Scores[a][a] != 1 {
-			t.Fatalf("separated data not cleanly ranked: parallel %v serial %v", parallel.Scores[a], serial.Scores[a])
+		if parallel.Scores[a][a] != 1 || serial.RankOf(a) != a+1 {
+			t.Fatalf("separated data not cleanly ranked: parallel %v serial rank %d", parallel.Scores[a], serial.RankOf(a))
 		}
 	}
 }

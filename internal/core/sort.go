@@ -20,9 +20,9 @@
 //
 // # Parallel clustering and the determinism contract
 //
-// Cluster executes its repetitions concurrently when ClusterOptions.Fork is
-// set: every repetition derives its shuffle and its comparator from RNG
-// streams keyed by the repetition index (xrand.Mix), results land in
+// Cluster executes its repetitions concurrently: every repetition derives
+// its shuffle and its comparator (ClusterOptions.Fork) from RNG streams
+// keyed by the repetition index (xrand.Mix), results land in
 // rep-indexed slots, and the aggregation happens after all repetitions
 // complete — so equal seeds produce bit-identical ClusterResults at every
 // worker count. ClusterMatrix additionally precomputes each pair's outcome

@@ -61,10 +61,9 @@ type SampleSet struct {
 
 	// sorted caches the index-aligned sorted views built by Sorted, so the
 	// comparison layers sort each sample once per campaign rather than once
-	// per comparison. Guarded by sortedMu; invalidated by SortByMedian, and
-	// re-validated per call against sortedProbes so samples that were
-	// appended to or rewritten since the last call are re-sorted instead of
-	// served stale.
+	// per comparison. Guarded by sortedMu and re-validated per call against
+	// sortedProbes, so samples that were appended to or rewritten since the
+	// last call are re-sorted instead of served stale.
 	sortedMu     sync.Mutex
 	sorted       []*stats.SortedSample
 	sortedProbes []sampleProbe
@@ -161,18 +160,6 @@ func (ss *SampleSet) Sorted() []*stats.SortedSample {
 	// Return a copy: revalidation on a later call writes into ss.sorted in
 	// place, and earlier callers' slices must not observe those writes.
 	return append([]*stats.SortedSample(nil), ss.sorted...)
-}
-
-// SortByMedian orders the samples fastest-median-first; reports use it to
-// print distributions in a stable, informative order. It invalidates the
-// sorted views of Sorted, which are index-aligned.
-func (ss *SampleSet) SortByMedian() {
-	ss.sortedMu.Lock()
-	ss.sorted, ss.sortedProbes = nil, nil
-	ss.sortedMu.Unlock()
-	sort.SliceStable(ss.Samples, func(i, j int) bool {
-		return stats.Median(ss.Samples[i].Seconds) < stats.Median(ss.Samples[j].Seconds)
-	})
 }
 
 // Runner produces one measurement per call; the collection harness wraps
@@ -307,16 +294,4 @@ func (ss *SampleSet) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ss)
-}
-
-// ReadJSON parses the format written by WriteJSON.
-func ReadJSON(r io.Reader) (*SampleSet, error) {
-	var ss SampleSet
-	if err := json.NewDecoder(r).Decode(&ss); err != nil {
-		return nil, fmt.Errorf("measure: decoding JSON: %w", err)
-	}
-	if err := ss.Validate(); err != nil {
-		return nil, err
-	}
-	return &ss, nil
 }

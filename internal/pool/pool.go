@@ -14,31 +14,13 @@ import (
 	"sync/atomic"
 )
 
-// ForEach invokes fn(i) for every i in [0, n) on at most workers goroutines
-// (0 means GOMAXPROCS) and returns the error of the lowest-indexed unit
-// that ran and failed, or nil. After any unit fails, dispatch stops and
-// not-yet-started units never run — the caller discards all outputs on
-// error, so the short-circuit cannot affect determinism of successful runs
-// (which error surfaces may vary with scheduling; that an error surfaces
-// does not). Results are collected by index, never by completion order.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return forEach(context.Background(), n, workers, nil, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: when ctx is cancelled, dispatch
-// stops, in-flight units finish, and the context's error is returned unless
-// a unit failed first.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return forEach(ctx, n, workers, nil, fn)
-}
-
 // Pool is a shared worker budget: a fixed number of execution tokens that
 // every ForEach routed through the pool contends for. Concurrent fan-outs
 // (e.g. the placement campaigns and clustering repetitions of many studies
 // in one suite) collectively never exceed the budget, while each individual
 // fan-out keeps its ordered, deterministic collection semantics.
 //
-// Units must not start a nested Pool.ForEach on the same pool from inside
+// Units must not start a nested ForEach on the same pool from inside
 // fn: a unit holds its token while running, so nesting can deadlock once
 // every token is held by a waiting parent.
 type Pool struct {
@@ -56,19 +38,32 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's token budget.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// ForEach invokes fn(i) for every i in [0, n), each unit first acquiring
-// one of the pool's tokens, with the same error and cancellation semantics
-// as ForEachCtx. Results do not depend on the budget or on what else runs
-// on the pool concurrently.
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	return forEach(ctx, n, cap(p.sem), p.sem, fn)
-}
-
-// forEach is the shared engine. When sem is non-nil every unit acquires a
-// token before running and releases it after, so concurrent forEach calls
-// sharing one sem are collectively bounded by its capacity. The dispatcher
-// stops feeding indices as soon as any unit fails or ctx is cancelled.
-func forEach(ctx context.Context, n, workers int, sem chan struct{}, fn func(i int) error) error {
+// ForEach invokes fn(i) for every i in [0, n) and returns the error of the
+// lowest-indexed unit that ran and failed, or nil. When p is non-nil every
+// unit first acquires one of the pool's tokens, so concurrent fan-outs on
+// one pool are collectively bounded by its budget; when p is nil the units
+// run on a transient pool of at most workers goroutines (0 means
+// GOMAXPROCS), and workers is otherwise ignored. Results do not depend on
+// the budget, the width, or what else runs on the pool concurrently.
+//
+// After any unit fails, dispatch stops and not-yet-started units never run
+// — the caller discards all outputs on error, so the short-circuit cannot
+// affect determinism of successful runs (which error surfaces may vary with
+// scheduling; that an error surfaces does not). When ctx is cancelled,
+// dispatch stops, in-flight units finish, and the context's error is
+// returned unless a unit failed first; a nil ctx means Background. Results
+// are collected by index, never by completion order.
+func ForEach(ctx context.Context, p *Pool, n, workers int, fn func(i int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// With a pool, every unit holds one of its tokens while it runs. The
+	// dispatcher stops feeding indices as soon as any unit fails or ctx is
+	// cancelled.
+	var sem chan struct{}
+	if p != nil {
+		sem, workers = p.sem, cap(p.sem)
+	}
 	if n <= 0 {
 		return ctx.Err()
 	}

@@ -12,7 +12,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 3, 100} {
 		const n = 50
 		var hits [n]int32
-		err := ForEach(n, workers, func(i int) error {
+		err := ForEach(context.Background(), nil, n, workers, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -28,7 +28,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmptyRange(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
+	if err := ForEach(context.Background(), nil, 0, 4, func(int) error { t.Fatal("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -45,12 +45,12 @@ func TestForEachReturnsError(t *testing.T) {
 		return nil
 	}
 	// Serial: units run in index order, 3 fails first and 7 is skipped.
-	if err := ForEach(10, 1, fail); !errors.Is(err, e3) {
+	if err := ForEach(context.Background(), nil, 10, 1, fail); !errors.Is(err, e3) {
 		t.Fatalf("serial err = %v, want the index-3 error", err)
 	}
 	// Parallel: which injected error surfaces depends on scheduling, but
 	// one of them must.
-	if err := ForEach(10, 4, fail); !errors.Is(err, e3) && !errors.Is(err, e7) {
+	if err := ForEach(context.Background(), nil, 10, 4, fail); !errors.Is(err, e3) && !errors.Is(err, e7) {
 		t.Fatalf("parallel err = %v, want an injected error", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestForEachReturnsError(t *testing.T) {
 func TestForEachSkipsAfterFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int32
-	err := ForEach(1000, 1, func(i int) error {
+	err := ForEach(context.Background(), nil, 1000, 1, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 0 {
 			return boom
@@ -83,7 +83,7 @@ func TestForEachStopsDispatchAfterFailure(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4, 16} {
 		var ran int32
-		err := ForEach(1<<30, workers, func(i int) error {
+		err := ForEach(context.Background(), nil, 1<<30, workers, func(i int) error {
 			atomic.AddInt32(&ran, 1)
 			if i == 0 {
 				return boom
@@ -104,10 +104,10 @@ func TestForEachStopsDispatchAfterFailure(t *testing.T) {
 	}
 }
 
-func TestForEachCtxCancellation(t *testing.T) {
+func TestForEachCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int32
-	err := ForEachCtx(ctx, 1<<30, 4, func(i int) error {
+	err := ForEach(ctx, nil, 1<<30, 4, func(i int) error {
 		if atomic.AddInt32(&ran, 1) == 8 {
 			cancel()
 		}
@@ -121,11 +121,11 @@ func TestForEachCtxCancellation(t *testing.T) {
 	}
 }
 
-func TestForEachCtxUnitErrorWinsOverCancellation(t *testing.T) {
+func TestForEachUnitErrorWinsOverCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := ForEachCtx(ctx, 100, 2, func(i int) error {
+	err := ForEach(ctx, nil, 100, 2, func(i int) error {
 		if i == 0 {
 			cancel()
 			return boom
@@ -158,7 +158,7 @@ func TestPoolSharedBudget(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := p.ForEach(context.Background(), 200, unit); err != nil {
+			if err := ForEach(context.Background(), p, 200, 0, unit); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -173,7 +173,7 @@ func TestPoolForEachError(t *testing.T) {
 	p := NewPool(4)
 	boom := errors.New("boom")
 	var ran int32
-	err := p.ForEach(context.Background(), 1<<30, func(i int) error {
+	err := ForEach(context.Background(), p, 1<<30, 0, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 0 {
 			return boom

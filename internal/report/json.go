@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"relperf/internal/core"
 	"relperf/internal/decision"
@@ -109,17 +108,6 @@ func MarshalResult(r *ResultJSON) ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// EncodeResult writes the canonical compact encoding followed by a newline.
-func EncodeResult(w io.Writer, r *ResultJSON) error {
-	b, err := MarshalResult(r)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // TaskSchema identifies the grid worker task envelope: the unit of work a
 // coordinator hands to a remote relperfd worker. The envelope is
 // self-contained — the fingerprint addresses the study, the derived seed
@@ -187,13 +175,4 @@ func UnmarshalResult(b []byte) (*ResultJSON, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// DecodeResult reads one wire-format document from r.
-func DecodeResult(rd io.Reader) (*ResultJSON, error) {
-	b, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("report: reading result JSON: %w", err)
-	}
-	return UnmarshalResult(b)
 }

@@ -86,17 +86,3 @@ func TestResultJSONValidation(t *testing.T) {
 		t.Fatal("name/sample mismatch accepted")
 	}
 }
-
-func TestEncodeResultAppendsNewline(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, sampleResultJSON()); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if len(b) == 0 || b[len(b)-1] != '\n' {
-		t.Fatal("no trailing newline")
-	}
-	if _, err := UnmarshalResult(b); err != nil {
-		t.Fatal(err)
-	}
-}

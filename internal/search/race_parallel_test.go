@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"relperf/internal/compare"
@@ -32,11 +31,11 @@ func deterministicArms(seed uint64) []Arm {
 	return arms
 }
 
-// TestRaceOnDeterministicAcrossWorkers: the parallel comparison stage must
+// TestRaceDeterministicAcrossWorkers: the parallel comparison stage must
 // give bit-identical Results at Workers=1 vs 8, and on a shared pool
-// budget, for both a stochastic Forker (bootstrap) and a deterministic one
-// (KS).
-func TestRaceOnDeterministicAcrossWorkers(t *testing.T) {
+// budget, for both a stochastic comparator (bootstrap) and a deterministic
+// one (KS).
+func TestRaceDeterministicAcrossWorkers(t *testing.T) {
 	comparators := map[string]func() compare.Comparator{
 		"bootstrap": func() compare.Comparator { return compare.NewBootstrap(99) },
 		"ks":        func() compare.Comparator { return compare.KS{} },
@@ -45,7 +44,7 @@ func TestRaceOnDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := func(workers int, budget *pool.Pool) *Result {
 				cfg := Config{RoundSize: 12, MaxRounds: 5, Seed: 7, Workers: workers}
-				res, err := RaceOn(context.Background(), deterministicArms(3), mk(), cfg, budget)
+				res, err := Race(context.Background(), deterministicArms(3), mk(), cfg, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,75 +71,30 @@ func TestRaceOnDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// serialProbe wraps a comparator, counting in-flight Compare calls; it does
-// NOT implement compare.Forker, so RaceOn must take the serial fallback and
-// the in-flight count must never exceed one.
-type serialProbe struct {
-	inner      compare.Comparator
-	inFlight   atomic.Int32
-	overlapped atomic.Bool
-	calls      atomic.Int32
-}
-
-func (p *serialProbe) Compare(a, b []float64) (compare.Outcome, error) {
-	if p.inFlight.Add(1) > 1 {
-		p.overlapped.Store(true)
-	}
-	defer p.inFlight.Add(-1)
-	p.calls.Add(1)
-	return p.inner.Compare(a, b)
-}
-
-// TestRaceOnNonForkerFallsBackToSerial: racing with a comparator that
-// cannot fork must (a) never invoke it concurrently and (b) produce exactly
-// the Result of the legacy serial Race with an identically-seeded
-// comparator.
-func TestRaceOnNonForkerFallsBackToSerial(t *testing.T) {
-	cfg := Config{RoundSize: 10, MaxRounds: 4, Workers: 8}
-	probe := &serialProbe{inner: compare.NewBootstrap(5)}
-	got, err := RaceOn(context.Background(), deterministicArms(11), probe, cfg, pool.NewPool(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.overlapped.Load() {
-		t.Fatal("non-Forker comparator was invoked concurrently")
-	}
-	if probe.calls.Load() == 0 {
-		t.Fatal("probe never invoked")
-	}
-	want, err := Race(deterministicArms(11), &serialProbe{inner: compare.NewBootstrap(5)}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("serial fallback diverged from Race:\n%+v\nvs\n%+v", got, want)
-	}
-}
-
-// TestRaceOnCancellation: a cancelled context aborts the race with the
+// TestRaceCancellation: a cancelled context aborts the race with the
 // context's error, never a partial result.
-func TestRaceOnCancellation(t *testing.T) {
+func TestRaceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RaceOn(ctx, deterministicArms(1), compare.NewBootstrap(1), Config{}, nil)
+	res, err := Race(ctx, deterministicArms(1), compare.NewBootstrap(1), Config{}, nil)
 	if err == nil || res != nil {
 		t.Fatalf("cancelled race returned (%v, %v), want error", res, err)
 	}
 }
 
-// TestRaceOnComparatorError: a failing pair surfaces its error from the
+// TestRaceComparatorError: a failing pair surfaces its error from the
 // parallel stage.
-func TestRaceOnComparatorError(t *testing.T) {
+func TestRaceComparatorError(t *testing.T) {
 	cfg := Config{RoundSize: 4, MaxRounds: 2}
-	bad := badForker{}
-	if _, err := RaceOn(context.Background(), deterministicArms(2), bad, cfg, nil); err == nil {
+	bad := failingComparator{}
+	if _, err := Race(context.Background(), deterministicArms(2), bad, cfg, nil); err == nil {
 		t.Fatal("comparator error lost in the parallel stage")
 	}
 }
 
-type badForker struct{}
+type failingComparator struct{}
 
-func (badForker) Compare(a, b []float64) (compare.Outcome, error) {
+func (failingComparator) Compare(a, b []float64) (compare.Outcome, error) {
 	return compare.Equivalent, compare.ErrBadSample
 }
-func (f badForker) Fork(uint64) compare.Comparator { return f }
+func (f failingComparator) Fork(uint64) compare.Comparator { return f }

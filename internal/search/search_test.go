@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestRaceFindsFastArm(t *testing.T) {
 		syntheticArm("fast", rng.Split(), 1.0, 0.05),
 		syntheticArm("slow2", rng.Split(), 3.0, 0.05),
 	}
-	res, err := Race(arms, compare.NewBootstrap(2), Config{RoundSize: 10, MaxRounds: 5})
+	res, err := Race(context.Background(), arms, compare.NewBootstrap(2), Config{RoundSize: 10, MaxRounds: 5, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestRaceKeepsEquivalentArms(t *testing.T) {
 		syntheticArm("b", rng.Split(), 1.0, 0.1),
 		syntheticArm("slow", rng.Split(), 2.0, 0.1),
 	}
-	res, err := Race(arms, compare.NewBootstrap(4), Config{RoundSize: 15, MaxRounds: 6, Keep: 1})
+	res, err := Race(context.Background(), arms, compare.NewBootstrap(4), Config{RoundSize: 15, MaxRounds: 6, Keep: 1, Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestRaceKeepsEquivalentArms(t *testing.T) {
 	// both-survive case must occur within a few seeds.
 	bothSurvivedOnce := false
 	for seed := uint64(4); seed < 12; seed++ {
-		r, err := Race(arms, compare.NewBootstrap(seed), Config{RoundSize: 15, MaxRounds: 6, Keep: 1})
+		r, err := Race(context.Background(), arms, compare.NewBootstrap(seed), Config{RoundSize: 15, MaxRounds: 6, Keep: 1, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestRaceSavesMeasurementsVsExhaustive(t *testing.T) {
 			},
 		})
 	}
-	res, err := Race(arms, compare.NewBootstrap(6), Config{RoundSize: 10, MaxRounds: 6})
+	res, err := Race(context.Background(), arms, compare.NewBootstrap(6), Config{RoundSize: 10, MaxRounds: 6, Seed: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestRacePriorSubset(t *testing.T) {
 	}
 	arms[1].Prior = 1
 	arms[2].Prior = 2
-	res, err := Race(arms, compare.NewBootstrap(8), Config{RoundSize: 8, MaxRounds: 4, MaxArms: 2})
+	res, err := Race(context.Background(), arms, compare.NewBootstrap(8), Config{RoundSize: 8, MaxRounds: 4, MaxArms: 2, Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestRaceBudget(t *testing.T) {
 		syntheticArm("a", rng.Split(), 1.0, 0.3),
 		syntheticArm("b", rng.Split(), 1.01, 0.3),
 	}
-	res, err := Race(arms, compare.NewBootstrap(10), Config{RoundSize: 10, MaxRounds: 100, Budget: 55})
+	res, err := Race(context.Background(), arms, compare.NewBootstrap(10), Config{RoundSize: 10, MaxRounds: 100, Budget: 55, Seed: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +171,10 @@ func TestRaceBudget(t *testing.T) {
 }
 
 func TestRaceErrors(t *testing.T) {
-	if _, err := Race(nil, compare.NewBootstrap(1), Config{}); err == nil {
+	if _, err := Race(context.Background(), nil, compare.NewBootstrap(1), Config{Seed: 1}, nil); err == nil {
 		t.Fatal("empty arms accepted")
 	}
-	if _, err := Race([]Arm{{Name: "x"}}, nil, Config{}); err == nil {
+	if _, err := Race(context.Background(), []Arm{{Name: "x"}}, nil, Config{}, nil); err == nil {
 		t.Fatal("nil comparator accepted")
 	}
 	boom := errors.New("boom")
@@ -181,14 +182,14 @@ func TestRaceErrors(t *testing.T) {
 		{Name: "x", Measure: func() (float64, error) { return 0, boom }},
 		{Name: "y", Measure: func() (float64, error) { return 1, nil }},
 	}
-	if _, err := Race(bad, compare.NewBootstrap(1), Config{}); !errors.Is(err, boom) {
+	if _, err := Race(context.Background(), bad, compare.NewBootstrap(1), Config{Seed: 1}, nil); !errors.Is(err, boom) {
 		t.Fatal("measurement error lost")
 	}
 }
 
 func TestRaceSingleArm(t *testing.T) {
 	arms := []Arm{{Name: "only", Measure: func() (float64, error) { return 1, nil }}}
-	res, err := Race(arms, compare.NewBootstrap(1), Config{})
+	res, err := Race(context.Background(), arms, compare.NewBootstrap(1), Config{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

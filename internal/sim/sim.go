@@ -260,15 +260,6 @@ func NewSimulator(pl *Platform, seed uint64) (*Simulator, error) {
 	return &Simulator{Platform: pl, rng: xrand.New(seed)}, nil
 }
 
-// SplitRNG returns an independent generator split off the simulator's
-// stream, for seeding downstream stochastic components (e.g. a bootstrap
-// comparator) without sharing state.
-//
-// Deprecated: the split depends on how many runs the simulator has already
-// executed, which breaks worker-count invariance in parallel engines.
-// Derive streams with xrand.Mix / xrand.NewKeyed instead.
-func (s *Simulator) SplitRNG() *xrand.Rand { return s.rng.Split() }
-
 // Run simulates one execution and returns the full result with trace.
 func (s *Simulator) Run(prog *Program, pl Placement) (*RunResult, error) {
 	res := &RunResult{}

@@ -9,24 +9,6 @@ import (
 // (mean, trimmed mean, minimum) fits.
 type Statistic func(sorted []float64) float64
 
-// QuantileStat returns a Statistic computing the q-th quantile. The input to
-// the returned function must be sorted ascending (the bootstrap engine
-// guarantees this).
-func QuantileStat(q float64) Statistic {
-	return func(sorted []float64) float64 { return QuantileSorted(sorted, q) }
-}
-
-// MeanStat computes the sample mean (ignores sortedness).
-func MeanStat(sorted []float64) float64 { return Mean(sorted) }
-
-// MinStat computes the sample minimum of a sorted sample.
-func MinStat(sorted []float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[0]
-}
-
 // Bootstrap draws B resamples (with replacement, same size as xs) and returns
 // the statistic evaluated on each, in draw order. The resamples are sorted
 // before stat is applied, so quantile statistics are cheap.
@@ -45,13 +27,4 @@ func BootstrapInto(out []float64, rng *xrand.Rand, xs []float64, stat Statistic,
 		out[b] = stat(scratch)
 	}
 	return out
-}
-
-// BootstrapCI returns the percentile bootstrap confidence interval
-// [lo, hi] at confidence level conf (e.g. 0.95) for stat over xs.
-func BootstrapCI(rng *xrand.Rand, xs []float64, stat Statistic, B int, conf float64) (lo, hi float64) {
-	draws := Bootstrap(rng, xs, stat, B)
-	alpha := (1 - conf) / 2
-	qs := Quantiles(draws, []float64{alpha, 1 - alpha})
-	return qs[0], qs[1]
 }

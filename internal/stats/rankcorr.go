@@ -50,20 +50,6 @@ func KendallTau(x, y []float64) (float64, error) {
 	return (concordant - discordant) / math.Sqrt(denomX*denomY), nil
 }
 
-// Spearman returns the Spearman rank correlation ρ between paired
-// observations (Pearson correlation of midranks).
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, ErrLengthMismatch
-	}
-	if len(x) < 2 {
-		return 0, errors.New("stats: need at least two pairs")
-	}
-	rx := Midranks(x)
-	ry := Midranks(y)
-	return pearson(rx, ry), nil
-}
-
 // Midranks returns the 1-based midranks of xs (ties share the average rank).
 func Midranks(xs []float64) []float64 {
 	n := len(xs)
@@ -85,22 +71,4 @@ func Midranks(xs []float64) []float64 {
 		i = j
 	}
 	return ranks
-}
-
-// pearson returns the Pearson correlation of two equal-length slices, or 0
-// when either is constant.
-func pearson(x, y []float64) float64 {
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -120,35 +120,6 @@ func Quantiles(xs []float64, qs []float64) []float64 {
 	return out
 }
 
-// IQR returns the interquartile range Q3 - Q1.
-func IQR(xs []float64) float64 {
-	qs := Quantiles(xs, []float64{0.25, 0.75})
-	return qs[1] - qs[0]
-}
-
-// Skewness returns the adjusted Fisher–Pearson sample skewness, or NaN when
-// len(xs) < 3 or the sample is constant.
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return math.NaN()
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return math.Sqrt(n*(n-1)) / (n - 2) * g1
-}
-
 // Summary holds the descriptive statistics of a sample.
 type Summary struct {
 	N                   int
@@ -178,35 +149,6 @@ func Summarize(xs []float64) Summary {
 	s.Q3 = QuantileSorted(sorted, 0.75)
 	return s
 }
-
-// ECDF is an empirical cumulative distribution function built from a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF; it copies xs.
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// At returns F(x) = P[X <= x], a step function in [0, 1].
-func (e *ECDF) At(x float64) float64 {
-	// count of values <= x
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Values returns the sorted sample underlying the ECDF. The caller must not
-// modify the returned slice.
-func (e *ECDF) Values() []float64 { return e.sorted }
 
 // KSStatistic returns the two-sample Kolmogorov–Smirnov statistic
 // D = sup_x |F1(x) - F2(x)| computed exactly over the pooled sample.
@@ -359,18 +301,6 @@ func NewHistogram(xs []float64, lo, hi float64, nbins int) (*Histogram, error) {
 	return h, nil
 }
 
-// AutoHistogram bins xs into nbins bins spanning the sample's own range.
-func AutoHistogram(xs []float64, nbins int) (*Histogram, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1 // degenerate constant sample: single populated bin
-	}
-	return NewHistogram(xs, lo, hi, nbins)
-}
-
 // Add bins one value, clamping out-of-range values into the end bins.
 func (h *Histogram) Add(x float64) {
 	n := len(h.Counts)
@@ -400,28 +330,4 @@ func (h *Histogram) Mode() int {
 		}
 	}
 	return best
-}
-
-// OverlapCoefficient estimates the overlap of the distributions of a and b as
-// the sum over shared bins of min(pa, pb) where pa, pb are bin probabilities.
-// 1 means identical histograms, 0 means disjoint support. nbins controls the
-// resolution of the estimate.
-func OverlapCoefficient(a, b []float64, nbins int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	lo := math.Min(Min(a), Min(b))
-	hi := math.Max(Max(a), Max(b))
-	if lo == hi {
-		return 1
-	}
-	ha, _ := NewHistogram(a, lo, hi, nbins)
-	hb, _ := NewHistogram(b, lo, hi, nbins)
-	var overlap float64
-	for i := range ha.Counts {
-		pa := float64(ha.Counts[i]) / float64(ha.Total)
-		pb := float64(hb.Counts[i]) / float64(hb.Total)
-		overlap += math.Min(pa, pb)
-	}
-	return overlap
 }

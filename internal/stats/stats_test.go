@@ -105,30 +105,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestIQR(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := IQR(xs); !almostEq(got, 2, 1e-12) {
-		t.Fatalf("IQR = %v", got)
-	}
-}
-
-func TestSkewness(t *testing.T) {
-	sym := []float64{-2, -1, 0, 1, 2}
-	if got := Skewness(sym); !almostEq(got, 0, 1e-12) {
-		t.Fatalf("skewness of symmetric sample = %v", got)
-	}
-	right := []float64{1, 1, 1, 1, 10}
-	if got := Skewness(right); got <= 0 {
-		t.Fatalf("right-skewed sample has skewness %v", got)
-	}
-	if !math.IsNaN(Skewness([]float64{1, 2})) {
-		t.Fatal("skewness of n<3 should be NaN")
-	}
-	if !math.IsNaN(Skewness([]float64{5, 5, 5})) {
-		t.Fatal("skewness of constant sample should be NaN")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Q1 != 2 || s.Q3 != 4 {
@@ -137,45 +113,6 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize(nil)
 	if empty.N != 0 || !math.IsNaN(empty.Mean) {
 		t.Fatalf("empty summary = %+v", empty)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if _, err := NewECDF(nil); err != ErrEmptySample {
-		t.Fatal("empty ECDF should error")
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	rng := xrand.New(9)
-	xs := make([]float64, 50)
-	for i := range xs {
-		xs[i] = rng.Normal(0, 1)
-	}
-	e, _ := NewECDF(xs)
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return e.At(a) <= e.At(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -313,19 +250,6 @@ func TestHistogramErrors(t *testing.T) {
 	if _, err := NewHistogram(nil, 1, 1, 4); err == nil {
 		t.Fatal("empty range should error")
 	}
-	if _, err := AutoHistogram(nil, 4); err == nil {
-		t.Fatal("empty sample should error")
-	}
-}
-
-func TestAutoHistogramConstant(t *testing.T) {
-	h, err := AutoHistogram([]float64{2, 2, 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total != 3 {
-		t.Fatalf("Total = %d", h.Total)
-	}
 }
 
 func TestHistogramMode(t *testing.T) {
@@ -335,30 +259,13 @@ func TestHistogramMode(t *testing.T) {
 	}
 }
 
-func TestOverlapCoefficient(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if o := OverlapCoefficient(a, a, 10); !almostEq(o, 1, 1e-12) {
-		t.Fatalf("self overlap = %v", o)
-	}
-	b := []float64{100, 101, 102}
-	if o := OverlapCoefficient(a, b, 50); o > 0.01 {
-		t.Fatalf("disjoint overlap = %v", o)
-	}
-	if o := OverlapCoefficient(nil, a, 10); o != 0 {
-		t.Fatalf("empty overlap = %v", o)
-	}
-	if o := OverlapCoefficient([]float64{3}, []float64{3}, 10); o != 1 {
-		t.Fatalf("degenerate equal-point overlap = %v", o)
-	}
-}
-
 func TestBootstrapMeanCentering(t *testing.T) {
 	rng := xrand.New(21)
 	xs := make([]float64, 200)
 	for i := range xs {
 		xs[i] = rng.Normal(10, 2)
 	}
-	draws := Bootstrap(rng, xs, MeanStat, 500)
+	draws := Bootstrap(rng, xs, Mean, 500)
 	if len(draws) != 500 {
 		t.Fatalf("draw count = %d", len(draws))
 	}
@@ -368,10 +275,14 @@ func TestBootstrapMeanCentering(t *testing.T) {
 	}
 }
 
+// median is the bootstrap Statistic of the sample median; the engine hands
+// it sorted resamples.
+func median(sorted []float64) float64 { return QuantileSorted(sorted, 0.5) }
+
 func TestBootstrapQuantileStat(t *testing.T) {
 	rng := xrand.New(23)
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	draws := Bootstrap(rng, xs, QuantileStat(0.5), 300)
+	draws := Bootstrap(rng, xs, median, 300)
 	for _, d := range draws {
 		if d < 1 || d > 10 {
 			t.Fatalf("bootstrap median %v outside sample range", d)
@@ -379,25 +290,10 @@ func TestBootstrapQuantileStat(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	rng := xrand.New(29)
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = rng.Normal(50, 5)
-	}
-	lo, hi := BootstrapCI(rng, xs, MeanStat, 1000, 0.95)
-	if !(lo < 50 && 50 < hi) {
-		t.Fatalf("95%% CI [%v, %v] does not contain true mean 50", lo, hi)
-	}
-	if hi-lo > 3 {
-		t.Fatalf("CI suspiciously wide: [%v, %v]", lo, hi)
-	}
-}
-
 func TestBootstrapDeterministic(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := Bootstrap(xrand.New(7), xs, MeanStat, 50)
-	b := Bootstrap(xrand.New(7), xs, MeanStat, 50)
+	a := Bootstrap(xrand.New(7), xs, Mean, 50)
+	b := Bootstrap(xrand.New(7), xs, Mean, 50)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("bootstrap not deterministic under fixed seed")
@@ -428,25 +324,15 @@ func TestSortSmallProperty(t *testing.T) {
 	}
 }
 
-func TestMinStatMaxOfSorted(t *testing.T) {
-	if MinStat([]float64{1, 2, 3}) != 1 {
-		t.Fatal("MinStat wrong")
-	}
-	if MinStat(nil) != 0 {
-		t.Fatal("MinStat(nil) should be 0")
-	}
-}
-
 func BenchmarkBootstrapQuantile(b *testing.B) {
 	rng := xrand.New(1)
 	xs := make([]float64, 100)
 	for i := range xs {
 		xs[i] = rng.Normal(0, 1)
 	}
-	stat := QuantileStat(0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Bootstrap(rng, xs, stat, 100)
+		Bootstrap(rng, xs, median, 100)
 	}
 }
 
@@ -507,29 +393,6 @@ func TestKendallTauErrors(t *testing.T) {
 	}
 }
 
-func TestSpearman(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{2, 4, 9, 100} // monotone but nonlinear
-	rho, err := Spearman(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rho, 1, 1e-12) {
-		t.Fatalf("monotone Spearman = %v, want 1", rho)
-	}
-	yRev := []float64{4, 3, 2, 1}
-	rho, _ = Spearman(x, yRev)
-	if !almostEq(rho, -1, 1e-12) {
-		t.Fatalf("reversed Spearman = %v", rho)
-	}
-	if _, err := Spearman([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Spearman([]float64{1}, []float64{2}); err == nil {
-		t.Fatal("single pair accepted")
-	}
-}
-
 func TestMidranks(t *testing.T) {
 	r := Midranks([]float64{10, 20, 20, 30})
 	want := []float64{1, 2.5, 2.5, 4}
@@ -540,22 +403,12 @@ func TestMidranks(t *testing.T) {
 	}
 }
 
-func TestSpearmanConstant(t *testing.T) {
-	rho, err := Spearman([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rho != 0 {
-		t.Fatalf("constant Spearman = %v", rho)
-	}
-}
-
 func TestBootstrapIntoMatchesBootstrap(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	a := Bootstrap(xrand.New(9), xs, MeanStat, 40)
+	a := Bootstrap(xrand.New(9), xs, Mean, 40)
 	out := make([]float64, 40)
 	scratch := make([]float64, len(xs))
-	b := BootstrapInto(out, xrand.New(9), xs, MeanStat, scratch)
+	b := BootstrapInto(out, xrand.New(9), xs, Mean, scratch)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("draw %d differs: %v vs %v", i, a[i], b[i])
@@ -565,7 +418,7 @@ func TestBootstrapIntoMatchesBootstrap(t *testing.T) {
 		t.Fatal("BootstrapInto did not write into out")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		BootstrapInto(out, xrand.New(9), xs, MeanStat, scratch)
+		BootstrapInto(out, xrand.New(9), xs, Mean, scratch)
 	})
 	if allocs != 0 {
 		t.Fatalf("BootstrapInto allocates %v per run, want 0", allocs)

@@ -75,7 +75,7 @@ type header struct {
 }
 
 // AppendFrame appends one framed payload to buf and returns the extended
-// slice. Exported for the decoder's tests and fuzzer.
+// slice.
 func AppendFrame(buf, payload []byte) []byte {
 	var hdr [frameOverhead]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -84,33 +84,42 @@ func AppendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// DecodeFrames parses b as a frame sequence. It returns the decoded
-// payloads, the length of the clean prefix, and a non-nil description of
-// the first bad frame (nil when the whole buffer parsed). It never
-// panics, whatever the input — the torn-tail recovery and the fuzzer both
-// lean on that.
-func DecodeFrames(b []byte) (payloads [][]byte, clean int, bad error) {
-	off := 0
-	for off < len(b) {
-		if len(b)-off < frameOverhead {
-			return payloads, off, fmt.Errorf("wal: torn frame header at offset %d (%d trailing bytes)", off, len(b)-off)
+// frameError describes a torn or corrupt frame — the point where
+// recovery truncates the log.
+type frameError struct{ msg string }
+
+func (e *frameError) Error() string { return e.msg }
+
+// readFrame reads the frame at offset off from br and returns its payload.
+// It returns io.EOF at a clean end of input and a *frameError for a torn
+// or corrupt frame: a header or payload the input ends inside, an
+// oversized length, or a checksum mismatch. Any other error is a real read
+// error, returned as is. Memory is O(one frame), whatever the input; it
+// never panics — recovery and the fuzzer both lean on that.
+func readFrame(br *bufio.Reader, off int64) ([]byte, error) {
+	var fh [frameOverhead]byte
+	if k, err := io.ReadFull(br, fh[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, &frameError{fmt.Sprintf("wal: torn frame header at offset %d (%d trailing bytes)", off, k)}
 		}
-		n := int(binary.LittleEndian.Uint32(b[off : off+4]))
-		sum := binary.LittleEndian.Uint32(b[off+4 : off+8])
-		if n > maxPayload {
-			return payloads, off, fmt.Errorf("wal: frame at offset %d claims %d bytes (corrupt length)", off, n)
-		}
-		if len(b)-off-frameOverhead < n {
-			return payloads, off, fmt.Errorf("wal: torn frame at offset %d (%d byte payload, %d available)", off, n, len(b)-off-frameOverhead)
-		}
-		payload := b[off+frameOverhead : off+frameOverhead+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return payloads, off, fmt.Errorf("wal: checksum mismatch at offset %d", off)
-		}
-		payloads = append(payloads, payload)
-		off += frameOverhead + n
+		return nil, err // io.EOF: clean end of input
 	}
-	return payloads, off, nil
+	n := int(binary.LittleEndian.Uint32(fh[0:4]))
+	sum := binary.LittleEndian.Uint32(fh[4:8])
+	if n > maxPayload {
+		return nil, &frameError{fmt.Sprintf("wal: frame at offset %d claims %d bytes (corrupt length)", off, n)}
+	}
+	payload := make([]byte, n)
+	if k, err := io.ReadFull(br, payload); err != nil {
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, &frameError{fmt.Sprintf("wal: torn frame at offset %d (%d byte payload, %d available)", off, n, k)}
+		}
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, &frameError{fmt.Sprintf("wal: checksum mismatch at offset %d", off)}
+	}
+	return payload, nil
 }
 
 // Log is an open write-ahead log. Safe for concurrent use.
@@ -155,49 +164,28 @@ func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log
 		total = fi.Size()
 	}
 
-	// One frame per iteration: read the 8-byte frame header, then the
-	// payload, verify the CRC, parse. Any torn or corrupt frame — a header
-	// or payload the file ends inside, an oversized length, a checksum
-	// mismatch, or a clean frame whose payload does not parse back
-	// (corruption the CRC could not see: it guards the frame, not our
-	// encoding) — marks the truncation point; only a real read error fails
-	// the open.
+	// One frame per iteration (readFrame). Any torn or corrupt frame — or a
+	// clean frame whose payload does not parse back (corruption the CRC
+	// could not see: it guards the frame, not our encoding) — marks the
+	// truncation point; only a real read error fails the open.
 	br := bufio.NewReaderSize(f, 1<<16)
 	var recs []Record
 	var bad error
 	var off int64
 	first := true
 	for bad == nil {
-		var fh [frameOverhead]byte
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			if err == io.EOF {
-				break // clean end of log
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				bad = fmt.Errorf("wal: torn frame header at offset %d (%d trailing bytes)", off, total-off)
+		payload, err := readFrame(br, off)
+		if err == io.EOF {
+			break // clean end of log
+		}
+		if err != nil {
+			var fe *frameError
+			if errors.As(err, &fe) {
+				bad = err
 				break
 			}
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		n := int(binary.LittleEndian.Uint32(fh[0:4]))
-		sum := binary.LittleEndian.Uint32(fh[4:8])
-		if n > maxPayload {
-			bad = fmt.Errorf("wal: frame at offset %d claims %d bytes (corrupt length)", off, n)
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				bad = fmt.Errorf("wal: torn frame at offset %d (%d byte payload, %d available)", off, n, total-off-frameOverhead)
-				break
-			}
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			bad = fmt.Errorf("wal: checksum mismatch at offset %d", off)
-			break
 		}
 		if first {
 			var hdr header
@@ -218,7 +206,7 @@ func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log
 			}
 			recs = append(recs, rec)
 		}
-		off += int64(frameOverhead + n)
+		off += int64(frameOverhead + len(payload))
 	}
 	l := &Log{f: f, path: path, size: off}
 	l.recoveredTruncation = bad != nil

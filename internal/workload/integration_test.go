@@ -10,9 +10,10 @@ import (
 
 // clusterPlacements runs the full measurement→comparison→clustering pipeline
 // for a program over all placements and returns the final assignment plus
-// the placement names.
+// the placement names. Every clustering repetition compares on its own fork
+// of the bootstrap comparator, keyed off clusterSeed.
 func clusterPlacements(t *testing.T, plat *sim.Platform, prog *sim.Program, nTasks, nMeas int,
-	simSeed, cmpSeed, clusterSeed uint64) (map[string]int, map[string]float64, *core.ClusterResult) {
+	simSeed, clusterSeed uint64) (map[string]int, map[string]float64, *core.ClusterResult) {
 	t.Helper()
 	s, err := sim.NewSimulator(plat, simSeed)
 	if err != nil {
@@ -26,9 +27,12 @@ func clusterPlacements(t *testing.T, plat *sim.Platform, prog *sim.Program, nTas
 			t.Fatal(err)
 		}
 	}
-	cmp := compare.NewBootstrap(cmpSeed)
-	cf := func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
-	res, err := core.Cluster(len(pls), cf, core.ClusterOptions{Reps: 100, Seed: clusterSeed})
+	proto := compare.NewBootstrap(0)
+	fork := func(seed uint64) core.CompareFunc {
+		cmp := proto.Fork(seed)
+		return func(i, j int) (compare.Outcome, error) { return cmp.Compare(samples[i], samples[j]) }
+	}
+	res, err := core.Cluster(len(pls), core.ClusterOptions{Reps: 100, Seed: clusterSeed, Fork: fork})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func TestTableIClusterShape(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		plat := TableIPlatform()
 		prog := TableI(10, plat.Accel.PeakFlops)
-		ranks, _, res := clusterPlacements(t, plat, prog, 3, 30, seed, seed*7+1, seed*13+2)
+		ranks, _, res := clusterPlacements(t, plat, prog, 3, 30, seed, seed*13+2)
 		maxRank := 0
 		uniqueWorst := true
 		for name, r := range ranks {
@@ -107,7 +111,7 @@ func TestTableIDAAStraddles(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		plat := TableIPlatform()
 		prog := TableI(10, plat.Accel.PeakFlops)
-		ranks, _, _ := clusterPlacements(t, plat, prog, 3, 30, seed, seed+100, seed+200)
+		ranks, _, _ := clusterPlacements(t, plat, prog, 3, 30, seed, seed+200)
 		if ranks["DAA"] > ranks["DDD"] {
 			t.Fatalf("seed %d: DAA (C%d) fell below DDD (C%d)", seed, ranks["DAA"], ranks["DDD"])
 		}
@@ -128,7 +132,7 @@ func TestFigure1ClusterShape(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		plat := Figure1Platform()
 		prog := Figure1(plat.Accel.PeakFlops)
-		ranks, _, _ := clusterPlacements(t, plat, prog, 2, 500, seed, seed+11, seed+22)
+		ranks, _, _ := clusterPlacements(t, plat, prog, 2, 500, seed, seed+22)
 		ok := ranks["AD"] == 1 &&
 			ranks["AA"] >= ranks["AD"] &&
 			ranks["DD"] > ranks["AA"] &&

@@ -94,7 +94,10 @@ func (c *KernelStudyConfig) defaults() {
 // MeasureKernelVariants executes every RLS variant on the host, measuring
 // real wall-clock time, and returns the measured distributions. All variants
 // consume identical inputs per measurement (same seed-derived stream), so
-// the comparison isolates the algorithm.
+// the comparison isolates the algorithm. After every variant's warm-up the
+// measurements are taken round-robin — one per variant in turn — so a burst
+// of CPU contention on the host lands on all variants alike instead of on
+// whichever one happened to be timed in that block.
 func MeasureKernelVariants(cfg KernelStudyConfig) (*measure.SampleSet, error) {
 	cfg.defaults()
 	variants := RLSVariants()
@@ -108,9 +111,10 @@ func MeasureKernelVariants(cfg KernelStudyConfig) (*measure.SampleSet, error) {
 		inputs[i] = mat.Rand(rng, cfg.Size, cfg.Size)
 	}
 
-	for _, v := range variants {
+	runners := make([]measure.Runner, len(variants))
+	for i, v := range variants {
 		v := v
-		runner := func() (float64, error) {
+		runners[i] = func() (float64, error) {
 			var solveErr error
 			sec := measure.Time(func() {
 				for it := 0; it < cfg.Iters; it++ {
@@ -131,11 +135,23 @@ func MeasureKernelVariants(cfg KernelStudyConfig) (*measure.SampleSet, error) {
 			}
 			return sec, nil
 		}
-		sample, err := measure.Collect(v.Name, runner, measure.Options{N: cfg.N, Warmup: cfg.Warmup})
-		if err != nil {
-			return nil, err
+	}
+	for i, run := range runners {
+		for w := 0; w < cfg.Warmup; w++ {
+			if _, err := run(); err != nil {
+				return nil, fmt.Errorf("measure: warmup %d of %s: %w", w, variants[i].Name, err)
+			}
 		}
-		ss.Samples = append(ss.Samples, sample)
+		ss.Samples = append(ss.Samples, measure.Sample{Name: variants[i].Name, Seconds: make([]float64, cfg.N)})
+	}
+	for n := 0; n < cfg.N; n++ {
+		for i, run := range runners {
+			sec, err := run()
+			if err != nil {
+				return nil, fmt.Errorf("measure: measurement %d of %s: %w", n, variants[i].Name, err)
+			}
+			ss.Samples[i].Seconds[n] = sec
+		}
 	}
 	return ss, nil
 }

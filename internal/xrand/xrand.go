@@ -101,11 +101,6 @@ func NewKeyed(seed, key uint64) *Rand {
 	return New(Mix(seed, key))
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 // Lemire's multiply-shift rejection method avoids modulo bias.
 func (r *Rand) Intn(n int) int {
@@ -257,14 +252,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// ResampleIdx fills dst with uniform indices in [0, n): one bootstrap
-// resample of size len(dst) from a sample of size n.
-func (r *Rand) ResampleIdx(dst []int, n int) {
-	for i := range dst {
-		dst[i] = r.Intn(n)
 	}
 }
 

@@ -256,17 +256,6 @@ func TestResample(t *testing.T) {
 	}
 }
 
-func TestResampleIdx(t *testing.T) {
-	r := New(67)
-	idx := make([]int, 1000)
-	r.ResampleIdx(idx, 5)
-	for _, v := range idx {
-		if v < 0 || v >= 5 {
-			t.Fatalf("index %d out of range", v)
-		}
-	}
-}
-
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b, hi, lo uint64

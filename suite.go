@@ -110,20 +110,17 @@ func (s *Study) Fingerprint() (string, error) {
 	for _, pl := range s.placements {
 		fmt.Fprintf(h, "placement %s\n", pl)
 	}
-	// Matrix only changes the result when the comparator can fork; the
-	// trial cap only matters on the matrix path. Normalizing both keeps
+	// The trial cap only matters on the matrix path; normalizing it keeps
 	// no-op flag differences from splitting the cache identity.
-	_, forkable := effectiveComparator(s.cfg.Comparator).(compare.Forker)
-	matrix := s.cfg.Matrix && forkable
 	trials := 0
-	if matrix {
+	if s.cfg.Matrix {
 		trials = s.cfg.MatrixTrials
 		if trials <= 0 {
 			trials = core.DefaultMatrixTrials
 		}
 	}
 	fmt.Fprintf(h, "n=%d warmup=%d reps=%d matrix=%v trials=%d\n",
-		s.cfg.N, s.cfg.Warmup, s.cfg.Reps, matrix, trials)
+		s.cfg.N, s.cfg.Warmup, s.cfg.Reps, s.cfg.Matrix, trials)
 	// The sketch line exists only in sketch mode, so an exact study and a
 	// sketch study over the same configuration can never share an identity —
 	// a cache must not serve an approximation where exact bytes were
@@ -133,14 +130,6 @@ func (s *Study) Fingerprint() (string, error) {
 	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16]), nil
-}
-
-// effectiveComparator resolves the nil default.
-func effectiveComparator(cmp compare.Comparator) compare.Comparator {
-	if cmp == nil {
-		return compare.NewBootstrap(0)
-	}
-	return cmp
 }
 
 func fingerprintDevice(w io.Writer, label string, d *device.Device) error {

@@ -77,11 +77,19 @@ func TestFingerprintIdentityAndNormalization(t *testing.T) {
 	}
 
 	// Custom comparators have no canonical identity.
-	custom := compare.Func(func(a, b []float64) (compare.Outcome, error) { return compare.Equivalent, nil })
-	if _, err := Fingerprint(StudyConfig{Program: smallProgram(), Comparator: custom}); err == nil {
+	if _, err := Fingerprint(StudyConfig{Program: smallProgram(), Comparator: customComparator{}}); err == nil {
 		t.Fatal("custom comparator fingerprinted")
 	}
 }
+
+// customComparator is a comparator the fingerprint layer cannot
+// canonically observe.
+type customComparator struct{}
+
+func (customComparator) Compare(a, b []float64) (compare.Outcome, error) {
+	return compare.Equivalent, nil
+}
+func (c customComparator) Fork(uint64) compare.Comparator { return c }
 
 // fixedNoise is a custom model the fingerprint layer cannot canonically
 // observe.
