@@ -8,6 +8,7 @@ GO ?= go
 SERVE_ADDR ?= :8077
 SERVE_SEED ?= 1
 SERVE_SNAPSHOT ?= relperfd.snapshot.json
+SERVE_WAL ?= relperfd.wal
 
 # Per-fuzzer budget of `make fuzz`; CI smoke uses a short one, local deep
 # runs can override: `make fuzz FUZZTIME=2m`.
@@ -60,11 +61,12 @@ bench:
 bench-check:
 	$(GO) run ./cmd/benchcheck BENCH_engine.json
 
-# Launches the relperfd serving daemon preloaded with the example suite;
-# results persist to $(SERVE_SNAPSHOT) so restarts serve warm.
+# Launches the relperfd serving daemon preloaded with the example suite in
+# its durable configuration: results are journaled to $(SERVE_WAL) and
+# compacted into $(SERVE_SNAPSHOT), so restarts serve warm.
 serve:
 	$(GO) run ./cmd/relperfd -addr $(SERVE_ADDR) -seed $(SERVE_SEED) \
-		-snapshot $(SERVE_SNAPSHOT) -suite examples/suite.json
+		-wal $(SERVE_WAL) -snapshot $(SERVE_SNAPSHOT) -suite examples/suite.json
 
 clean:
-	rm -f BENCH_engine.json relperfd.snapshot.json
+	rm -f BENCH_engine.json $(SERVE_SNAPSHOT) $(SERVE_WAL)

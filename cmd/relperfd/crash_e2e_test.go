@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -20,14 +21,17 @@ import (
 	"time"
 
 	"relperf/internal/faultpoint"
+	"relperf/internal/wal"
 )
 
-// submitSuite posts the daemonSuite and returns its fingerprints.
-func submitSuite(t *testing.T, d *daemon) []string {
+// postSuite posts the daemonSuite and returns its fingerprints. A
+// transport error (the daemon died before answering) is returned; any
+// answer other than 202 with three fingerprints fails the test.
+func postSuite(t *testing.T, d *daemon) ([]string, error) {
 	t.Helper()
 	resp, err := http.Post("http://"+d.addr+"/v1/suites", "application/json", strings.NewReader(daemonSuite))
 	if err != nil {
-		t.Fatalf("POST /v1/suites: %v\nlogs:\n%s", err, d.logText())
+		return nil, err
 	}
 	defer resp.Body.Close()
 	var sr struct {
@@ -39,7 +43,17 @@ func submitSuite(t *testing.T, d *daemon) []string {
 	if resp.StatusCode != http.StatusAccepted || len(sr.Fingerprints) != 3 {
 		t.Fatalf("POST /v1/suites: %d %v", resp.StatusCode, sr)
 	}
-	return sr.Fingerprints
+	return sr.Fingerprints, nil
+}
+
+// submitSuite posts the daemonSuite and returns its fingerprints.
+func submitSuite(t *testing.T, d *daemon) []string {
+	t.Helper()
+	fps, err := postSuite(t, d)
+	if err != nil {
+		t.Fatalf("POST /v1/suites: %v\nlogs:\n%s", err, d.logText())
+	}
+	return fps
 }
 
 // goldenRun computes the suite on a pristine daemon and returns the
@@ -80,6 +94,92 @@ func waitSIGKILL(t *testing.T, d *daemon) {
 	}
 }
 
+// journaledTypes returns the record types a crashed daemon's log
+// recovers to, oldest first. It reads a copy, so the restart still finds
+// (and loudly truncates) any torn tail itself.
+func journaledTypes(t *testing.T, walPath string) []string {
+	t.Helper()
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := filepath.Join(t.TempDir(), "copy.wal")
+	if err := os.WriteFile(cp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := wal.Open(cp, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	types := make([]string, len(recs))
+	for i, rec := range recs {
+		types[i] = rec.Type
+	}
+	return types
+}
+
+// crashAndRestart runs one crash generation. A durable daemon armed with
+// fault, which fires on the 4th WAL append, is sent the suite and must
+// SIGKILL itself; restarted on the same files, it must hold all three
+// specs and serve every golden fingerprint byte-identically. SubmitSpecs
+// journals every spec (appends 1–3) before it starts any study, so append
+// 4 is the first result by construction — but that result can still race
+// the POST's 202 out of the process. A generation whose POST went
+// unanswered is checked the same way and then run again on fresh files,
+// so the daemon returned always recovered a suite the client saw
+// acknowledged with the golden fingerprints.
+func crashAndRestart(t *testing.T, bin, fault string, fps []string, want map[string][]byte) *daemon {
+	t.Helper()
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		dir := t.TempDir()
+		walPath := filepath.Join(dir, "relperfd.wal")
+		args := []string{"-seed", "7", "-workers", "2",
+			"-wal", walPath,
+			"-snapshot", filepath.Join(dir, "relperfd.snapshot.json")}
+		d1 := startDaemonEnv(t, bin, []string{faultpoint.EnvVar + "=" + fault}, args...)
+		crashFps, postErr := postSuite(t, d1)
+		for i, fp := range crashFps {
+			if fp != fps[i] {
+				t.Fatalf("crash-run fingerprint %d = %s, golden %s (suite identity drifted)", i, fp, fps[i])
+			}
+		}
+		waitSIGKILL(t, d1)
+		// Answered or not, the log must open with the three specs and
+		// continue, if at all, with a result: a result journaled ahead of
+		// a spec is the ordering race SubmitSpecs rules out.
+		if types := journaledTypes(t, walPath); len(types) < 3 || types[0] != wal.TypeSpec || types[1] != wal.TypeSpec || types[2] != wal.TypeSpec || (len(types) > 3 && types[3] != wal.TypeResult) {
+			t.Fatalf("%s: crashed log holds records %v, want three specs before any result", fault, types)
+		}
+
+		// Restart without the faultpoint: recovery replays the journaled
+		// specs (and whichever results the crash let through), then every
+		// GET must reproduce the golden bytes exactly.
+		d2 := startDaemon(t, bin, args...)
+		if _, _, specs := d2.health(t); specs != 3 {
+			t.Fatalf("%s: restart recovered %d specs, want 3 (all were journaled before the crash)\nlogs:\n%s", fault, specs, d2.logText())
+		}
+		for _, fp := range fps {
+			code, body := d2.get(t, "/v1/studies/"+fp)
+			if code != 200 {
+				t.Fatalf("%s: post-crash GET %s: %d %s\nlogs:\n%s", fault, fp, code, body, d2.logText())
+			}
+			if !bytes.Equal(body, want[fp]) {
+				t.Fatalf("%s: study %s served different bytes after crash recovery", fault, fp)
+			}
+		}
+		if postErr == nil {
+			return d2
+		}
+		if attempt == attempts {
+			t.Fatalf("%s: in %d attempts the fault always fired before the suite was acknowledged: %v", fault, attempts, postErr)
+		}
+		t.Logf("%s: attempt %d: the fault fired before the POST was answered (%v); running again", fault, attempt, postErr)
+		d2.stop(t)
+	}
+}
+
 // TestCrashRecoveryE2E: a daemon with a WAL is killed -9 (by its own
 // armed faultpoint) while the suite is mid-flight — after the specs were
 // journaled, before the results all landed. The restarted daemon must
@@ -89,47 +189,16 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon binary")
 	}
-	dir := t.TempDir()
-	bin := buildDaemon(t, dir)
+	bin := buildDaemon(t, t.TempDir())
 	fps, want := goldenRun(t, bin)
 
-	// Crash generation: wal.append.sync fires on its 4th hit — after all
-	// three spec appends (hits 1–3, journaled during the POST), at the first
-	// result merge. The suite is acknowledged, the results are mid-flight.
-	crashDir := t.TempDir()
-	walPath := filepath.Join(crashDir, "relperfd.wal")
-	snapPath := filepath.Join(crashDir, "relperfd.snapshot.json")
-	d1 := startDaemonEnv(t, bin,
-		[]string{faultpoint.EnvVar + "=wal.append.sync=crash:4"},
-		"-seed", "7", "-workers", "2", "-wal", walPath, "-snapshot", snapPath)
-	crashFps := submitSuite(t, d1)
-	for i, fp := range crashFps {
-		if fp != fps[i] {
-			t.Fatalf("crash-run fingerprint %d = %s, golden %s (suite identity drifted)", i, fp, fps[i])
-		}
-	}
-	waitSIGKILL(t, d1)
-
-	// Restart without the faultpoint: recovery replays the journaled specs
-	// (and whichever results the crash let through), then every GET must
-	// reproduce the golden bytes exactly.
-	d2 := startDaemon(t, bin, "-seed", "7", "-workers", "2", "-wal", walPath, "-snapshot", snapPath)
-	if _, _, specs := d2.health(t); specs != 3 {
-		t.Fatalf("restart recovered %d specs, want 3 (all were acked before the crash)\nlogs:\n%s", specs, d2.logText())
-	}
+	// wal.append.sync fires on the first result append: the suite is
+	// acknowledged, the results are mid-flight.
+	d2 := crashAndRestart(t, bin, "wal.append.sync=crash:4", fps, want)
 	// The restarted daemon's exposition reports the replay: at least the
 	// three journaled spec records came back off the WAL.
 	if m := d2.scrapeMetrics(t); m["wal_replayed_records_total"] < 3 {
 		t.Fatalf("wal_replayed_records_total = %v after recovery, want >= 3", m["wal_replayed_records_total"])
-	}
-	for _, fp := range fps {
-		code, body := d2.get(t, "/v1/studies/"+fp)
-		if code != 200 {
-			t.Fatalf("post-crash GET %s: %d %s\nlogs:\n%s", fp, code, body, d2.logText())
-		}
-		if !bytes.Equal(body, want[fp]) {
-			t.Fatalf("study %s served different bytes after crash recovery", fp)
-		}
 	}
 	d2.stop(t)
 }
@@ -141,33 +210,12 @@ func TestCrashRecoveryTornWriteE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon binary")
 	}
-	dir := t.TempDir()
-	bin := buildDaemon(t, dir)
+	bin := buildDaemon(t, t.TempDir())
 	fps, want := goldenRun(t, bin)
 
-	crashDir := t.TempDir()
-	walPath := filepath.Join(crashDir, "relperfd.wal")
-	// wal.append.write fires on its 4th append: all three specs land whole,
-	// the first result merge tears — half its frame on disk, then SIGKILL.
-	d1 := startDaemonEnv(t, bin,
-		[]string{faultpoint.EnvVar + "=wal.append.write=tear:4"},
-		"-seed", "7", "-workers", "2", "-wal", walPath)
-	submitSuite(t, d1)
-	waitSIGKILL(t, d1)
-
-	d2 := startDaemon(t, bin, "-seed", "7", "-workers", "2", "-wal", walPath)
-	if _, _, specs := d2.health(t); specs != 3 {
-		t.Fatalf("restart recovered %d specs, want 3\nlogs:\n%s", specs, d2.logText())
-	}
-	for _, fp := range fps {
-		code, body := d2.get(t, "/v1/studies/"+fp)
-		if code != 200 {
-			t.Fatalf("post-tear GET %s: %d %s\nlogs:\n%s", fp, code, body, d2.logText())
-		}
-		if !bytes.Equal(body, want[fp]) {
-			t.Fatalf("study %s served different bytes after torn-tail recovery", fp)
-		}
-	}
+	// wal.append.write fires on the first result append and tears it —
+	// half its frame on disk, then SIGKILL; the three specs landed whole.
+	d2 := crashAndRestart(t, bin, "wal.append.write=tear:4", fps, want)
 	// The truncation must have been loud — silent data dropping is the one
 	// unforgivable recovery behavior — and counted in the exposition.
 	if !strings.Contains(d2.logText(), "RECOVERY") {

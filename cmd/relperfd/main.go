@@ -2,8 +2,8 @@
 // suites of studies on a shared worker budget, caches results by canonical
 // config fingerprint and serves them over HTTP.
 //
-//	relperfd -addr :8077 -seed 1 -workers 0 \
-//	         -snapshot relperfd.snapshot.json -suite examples/suite.json
+//	relperfd -addr :8077 -seed 1 -workers 0 -suite examples/suite.json \
+//	         -wal relperfd.wal -snapshot relperfd.snapshot.json
 //
 // -pprof addr (off by default) additionally serves net/http/pprof on its
 // own listener, kept separate from the serving address so profiling is
@@ -40,18 +40,20 @@
 // in grid mode, whichever worker computed it, at any worker count, across
 // worker deaths, retries and local fallback.
 //
-// Durability: without -wal, the snapshot is loaded at startup and
-// rewritten after every completed study and on shutdown (a crash loses
-// the work in flight). With -wal, every control-plane event — spec
-// retained, result merged, task dispatched — is appended to a
-// checksummed, fsync'd write-ahead log before it is acked, so a `kill -9`
-// at any instant loses nothing acknowledged; startup replays the log on
-// top of the last snapshot (truncating a torn tail loudly), and
-// -snapshot-interval compacts periodically (snapshot + WAL truncate)
-// instead of rewriting the store per study. -standby pushes each
-// compacted snapshot to standby daemons over POST /v1/replica/snapshot,
-// so a promoted standby serves warm, byte-identical results with zero
-// recomputation.
+// Durability: relperfd runs in one of two configurations. Without
+// persistence flags it is in-memory and a restart starts cold. Durable
+// mode is -wal and -snapshot together: every control-plane event — spec
+// retained, result merged, task dispatched — is appended to a checksummed,
+// fsync'd write-ahead log before it is acked, so a `kill -9` at any
+// instant loses nothing acknowledged; startup replays the log on top of
+// the last snapshot (truncating a torn tail loudly), and every
+// -snapshot-interval (and at shutdown) the store is written to the
+// snapshot and the log compacted to the records the snapshot missed, so
+// both files stay bounded by the store. -standby pushes each compacted
+// snapshot to standby daemons over POST /v1/replica/snapshot, so a
+// promoted standby serves warm, byte-identical results with zero
+// recomputation. Any other combination of these flags is refused at
+// startup.
 package main
 
 import (
@@ -99,6 +101,7 @@ type options struct {
 	shutdownTimeout  time.Duration
 	walPath          string
 	snapshotInterval time.Duration
+	intervalSet      bool // -snapshot-interval was given explicitly
 	standbys         string
 	logFormat        string
 	mutexFraction    int
@@ -108,39 +111,81 @@ type options struct {
 	scrapeTimeout    time.Duration
 }
 
-func main() {
-	var o options
-	flag.StringVar(&o.addr, "addr", ":8077", "HTTP listen address")
-	flag.IntVar(&o.workers, "workers", 0, "global worker budget shared by all studies (0 = GOMAXPROCS)")
-	flag.Uint64Var(&o.seed, "seed", 1, "suite seed; equal seeds serve bit-identical results")
-	flag.IntVar(&o.cacheCap, "cache", 0, "max cached studies, LRU-evicted (0 = unbounded)")
-	flag.StringVar(&o.snapshotPath, "snapshot", "", "snapshot file: loaded at startup, rewritten as results land")
-	flag.StringVar(&o.suitePath, "suite", "", "suite spec JSON to submit at startup (warms the cache)")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "optional net/http/pprof listen address (e.g. localhost:6060); off when empty")
-	flag.Int64Var(&o.maxStudyCost, "max-study-cost", 0, "admission bound on a study's estimated cost (placements × measurements × reps); 0 = unbounded")
-	flag.BoolVar(&o.coordinator, "coordinator", false, "serve as a grid coordinator: register workers on /v1/grid/workers and shard suites across them")
-	flag.StringVar(&o.joinURL, "join", "", "coordinator base URL to join as a grid worker (e.g. http://coord:8077)")
-	flag.StringVar(&o.advertiseURL, "advertise", "", "base URL this worker advertises to the coordinator (default http://<bound address>)")
-	flag.DurationVar(&o.gridTTL, "grid-ttl", 0, "coordinator: expire workers silent for this long (default 15s)")
-	flag.DurationVar(&o.gridReqTimeout, "grid-request-timeout", 0, "coordinator: cap one remote dispatch attempt end to end; a paused or wedged worker fails over after this long (default 10m)")
-	flag.DurationVar(&o.gridHBTimeout, "grid-heartbeat-timeout", grid.DefaultHeartbeatTimeout, "worker: cap one heartbeat request to the coordinator")
-	flag.DurationVar(&o.replicaTimeout, "replica-timeout", 0, "cap one snapshot push to a standby (0 = no timeout)")
-	flag.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 5*time.Second, "max wait for in-flight requests at shutdown before closing their connections")
-	flag.StringVar(&o.walPath, "wal", "", "write-ahead log file: control-plane events are fsync'd here before being acked, and replayed over the snapshot at startup")
-	flag.DurationVar(&o.snapshotInterval, "snapshot-interval", 0, "compact periodically: write the snapshot and truncate the WAL every interval (0 = legacy rewrite-per-study without -wal, compact only at shutdown with it)")
-	flag.StringVar(&o.standbys, "standby", "", "comma-separated standby base URLs; each compacted snapshot is pushed to their POST /v1/replica/snapshot")
-	flag.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
-	flag.IntVar(&o.mutexFraction, "mutex-profile-fraction", 0, "with -pprof: runtime.SetMutexProfileFraction rate — sample 1/n mutex contention events (0 = off)")
-	flag.IntVar(&o.blockRate, "block-profile-rate", 0, "with -pprof: runtime.SetBlockProfileRate threshold in ns — sample goroutine blocking events (0 = off)")
-	flag.IntVar(&o.traceStudies, "trace-studies", 0, "max study timelines the tracer retains, LRU-evicted (0 = default 256)")
-	flag.IntVar(&o.traceSpans, "trace-spans", 0, "max spans per study timeline, later spans dropped (0 = default 64)")
-	flag.DurationVar(&o.scrapeTimeout, "grid-scrape-timeout", 0, "coordinator: cap one federated metrics scrape or trace fetch of one worker (default 2s)")
-	flag.Parse()
+// defaultSnapshotInterval is the durable mode's compaction cadence.
+const defaultSnapshotInterval = 30 * time.Second
 
+// parseFlags parses the daemon's command line into options.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("relperfd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8077", "HTTP listen address")
+	fs.IntVar(&o.workers, "workers", 0, "global worker budget shared by all studies (0 = GOMAXPROCS)")
+	fs.Uint64Var(&o.seed, "seed", 1, "suite seed; equal seeds serve bit-identical results")
+	fs.IntVar(&o.cacheCap, "cache", 0, "max cached studies, LRU-evicted (0 = unbounded)")
+	fs.StringVar(&o.snapshotPath, "snapshot", "", "snapshot file (durable mode, with -wal): loaded at startup, rewritten every -snapshot-interval and at shutdown")
+	fs.StringVar(&o.suitePath, "suite", "", "suite spec JSON to submit at startup (warms the cache)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "optional net/http/pprof listen address (e.g. localhost:6060); off when empty")
+	fs.Int64Var(&o.maxStudyCost, "max-study-cost", 0, "admission bound on a study's estimated cost (placements × measurements × reps); 0 = unbounded")
+	fs.BoolVar(&o.coordinator, "coordinator", false, "serve as a grid coordinator: register workers on /v1/grid/workers and shard suites across them")
+	fs.StringVar(&o.joinURL, "join", "", "coordinator base URL to join as a grid worker (e.g. http://coord:8077)")
+	fs.StringVar(&o.advertiseURL, "advertise", "", "base URL this worker advertises to the coordinator (default http://<bound address>)")
+	fs.DurationVar(&o.gridTTL, "grid-ttl", 0, "coordinator: expire workers silent for this long (default 15s)")
+	fs.DurationVar(&o.gridReqTimeout, "grid-request-timeout", 0, "coordinator: cap one remote dispatch attempt end to end; a paused or wedged worker fails over after this long (default 10m)")
+	fs.DurationVar(&o.gridHBTimeout, "grid-heartbeat-timeout", grid.DefaultHeartbeatTimeout, "worker: cap one heartbeat request to the coordinator")
+	fs.DurationVar(&o.replicaTimeout, "replica-timeout", 0, "cap one snapshot push to a standby (0 = no timeout)")
+	fs.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 5*time.Second, "max wait for in-flight requests at shutdown before closing their connections")
+	fs.StringVar(&o.walPath, "wal", "", "write-ahead log file (durable mode, with -snapshot): control-plane events are fsync'd here before being acked, and replayed over the snapshot at startup")
+	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", defaultSnapshotInterval, "durable mode: write the snapshot and compact the WAL every interval (> 0)")
+	fs.StringVar(&o.standbys, "standby", "", "durable mode: comma-separated standby base URLs; each compacted snapshot is pushed to their POST /v1/replica/snapshot")
+	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
+	fs.IntVar(&o.mutexFraction, "mutex-profile-fraction", 0, "with -pprof: runtime.SetMutexProfileFraction rate — sample 1/n mutex contention events (0 = off)")
+	fs.IntVar(&o.blockRate, "block-profile-rate", 0, "with -pprof: runtime.SetBlockProfileRate threshold in ns — sample goroutine blocking events (0 = off)")
+	fs.IntVar(&o.traceStudies, "trace-studies", 0, "max study timelines the tracer retains, LRU-evicted (0 = default 256)")
+	fs.IntVar(&o.traceSpans, "trace-spans", 0, "max spans per study timeline, later spans dropped (0 = default 64)")
+	fs.DurationVar(&o.scrapeTimeout, "grid-scrape-timeout", 0, "coordinator: cap one federated metrics scrape or trace fetch of one worker (default 2s)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	fs.Visit(func(f *flag.Flag) { o.intervalSet = o.intervalSet || f.Name == "snapshot-interval" })
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2) // the flag set already printed the error and usage
+	}
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "relperfd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// durable validates the persistence flags and reports whether the daemon
+// runs durable. There are exactly two configurations: in-memory (none of
+// -wal, -snapshot, -snapshot-interval, -standby), or durable (-wal and
+// -snapshot together, compacted every -snapshot-interval > 0, optionally
+// pushing to -standby). Every other combination is an error naming the
+// flag at fault.
+func (o options) durable() (bool, error) {
+	switch {
+	case o.walPath != "" && o.snapshotPath == "":
+		return false, errors.New("-wal needs -snapshot: the log is compacted into the snapshot, or it grows without bound")
+	case o.snapshotPath != "" && o.walPath == "":
+		return false, errors.New("-snapshot needs -wal: without the log, every result acked since the last snapshot is lost in a crash")
+	case o.walPath != "" && o.snapshotInterval <= 0:
+		return false, fmt.Errorf("-snapshot-interval %v: durable mode needs a positive compaction interval", o.snapshotInterval)
+	case o.walPath != "":
+		return true, nil
+	case o.intervalSet:
+		return false, errors.New("-snapshot-interval needs -wal and -snapshot: an in-memory daemon has nothing to compact")
+	case o.standbys != "":
+		return false, errors.New("-standby needs -wal and -snapshot: standbys receive the durable mode's compacted snapshots")
+	}
+	return false, nil
 }
 
 // newLogger builds the daemon's structured logger. The default text
@@ -200,6 +245,12 @@ func run(o options) error {
 	if o.coordinator && o.joinURL != "" {
 		return errors.New("-coordinator and -join are mutually exclusive (a node is either the coordinator or a worker)")
 	}
+	// Validated before anything else — a refused configuration must not
+	// have created a log or snapshot file.
+	durable, err := o.durable()
+	if err != nil {
+		return err
+	}
 	logger, err := newLogger(o.logFormat)
 	if err != nil {
 		return err
@@ -253,25 +304,18 @@ func run(o options) error {
 	// base, the WAL is the fsync'd tail on top of it. The WAL opens first
 	// (it validates its seed header and truncates any torn tail), but its
 	// records replay only after the snapshot loads — replay order is what
-	// makes "snapshot then Reset" compaction crash-safe, since replaying a
-	// record the snapshot already holds is an idempotent no-op merge.
+	// makes "snapshot then compact" crash-safe, since replaying a record
+	// the snapshot already holds is an idempotent no-op merge.
+	store := fleet.NewStore(o.cacheCap)
 	var walLog *wal.Log
-	var walRecs []wal.Record
-	if o.walPath != "" {
-		var err error
+	var taskRecs []wal.Record
+	if durable {
+		var walRecs []wal.Record
 		walLog, walRecs, err = wal.Open(o.walPath, o.seed, logf)
 		if err != nil {
 			return fmt.Errorf("opening wal %s: %w", o.walPath, err)
 		}
 		defer walLog.Close()
-		if o.snapshotInterval == 0 {
-			// Recovery streams the log, so an unbounded one is slow, not
-			// fatal — but it is still unbounded disk; say so once.
-			logger.Warn(fmt.Sprintf("wal: no -snapshot-interval, so %s compacts only at shutdown and grows for as long as the daemon runs; pair -wal with -snapshot-interval to bound it", o.walPath))
-		}
-	}
-	store := fleet.NewStore(o.cacheCap)
-	if o.snapshotPath != "" {
 		if f, err := os.Open(o.snapshotPath); err == nil {
 			n, err := store.LoadSnapshot(f, o.seed)
 			f.Close()
@@ -282,9 +326,6 @@ func run(o options) error {
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
-	}
-	var taskRecs []wal.Record
-	if walLog != nil {
 		counts, tasks, err := fleet.ReplayWAL(store, o.seed, walRecs)
 		if err != nil {
 			return fmt.Errorf("replaying wal %s: %w", o.walPath, err)
@@ -310,8 +351,8 @@ func run(o options) error {
 	// attached after replay, so recovered records are never appended back
 	// into the log they came from, and replay work is counted as recovery
 	// rather than as live appends.
-	store.SetWAL(walLog)
-	if walLog != nil {
+	if durable {
+		store.SetWAL(walLog)
 		walLog.SetMetrics(wal.NewMetrics(obsv.Registry))
 	}
 	sched := fleet.New(opts)
@@ -343,62 +384,21 @@ func run(o options) error {
 	checkpoint := func(reason string) {
 		checkpointMu.Lock()
 		defer checkpointMu.Unlock()
-		if o.snapshotPath != "" {
-			data, cut, err := store.SnapshotCut(o.seed)
-			if err != nil {
-				logger.Error("snapshot failed", "reason", reason, "err", err)
-				return
-			}
-			if err := fleet.WriteSnapshotBytesAtomic(data, o.snapshotPath); err != nil {
-				logger.Error("snapshot failed", "reason", reason, "err", err)
-				return // the WAL still holds the tail; never compact it now
-			}
-			if walLog != nil {
-				if err := walLog.CompactTo(cut, o.seed); err != nil {
-					logger.Error("wal compaction failed", "reason", reason, "err", err)
-				}
-			}
+		data, cut, err := store.SnapshotCut(o.seed)
+		if err != nil {
+			logger.Error("snapshot failed", "reason", reason, "err", err)
+			return
+		}
+		if err := fleet.WriteSnapshotBytesAtomic(data, o.snapshotPath); err != nil {
+			logger.Error("snapshot failed", "reason", reason, "err", err)
+			return // the WAL still holds the tail; never compact it now
+		}
+		if err := walLog.CompactTo(cut, o.seed); err != nil {
+			logger.Error("wal compaction failed", "reason", reason, "err", err)
 		}
 		if err := replicator.Push(context.Background(), store, o.seed); err != nil {
 			logger.Error("replication failed", "reason", reason, "err", err)
 		}
-	}
-
-	// Persistence cadence. With -wal the log already makes every completed
-	// study durable, so the legacy rewrite-per-study is wasted I/O and the
-	// snapshot becomes a compaction artifact (periodic via
-	// -snapshot-interval, always at shutdown). Without -wal the per-study
-	// rewrite IS the durability story, as before.
-	perStudyPersist := o.snapshotPath != "" && o.walPath == "" && o.snapshotInterval == 0
-	if o.snapshotPath != "" || o.walPath != "" {
-		// 256, not 64: every study costs two buffer slots (computing + done
-		// phase events), and a dropped done event here would mean a
-		// completion that never gets logged or snapshotted.
-		events, _ := sched.Subscribe(256)
-		go func() {
-			for {
-				for ev := range events {
-					if ev.Phase != fleet.PhaseDone {
-						continue
-					}
-					if ev.Err != nil {
-						logger.Warn("study failed", "fp", ev.Fingerprint, "err", ev.Err)
-						continue
-					}
-					logger.Info("study completed", "fp", ev.Fingerprint)
-					if perStudyPersist {
-						checkpoint("study completed")
-					}
-				}
-				// The scheduler drops subscribers that fall behind (closing
-				// their channel). For this one — the persistence trigger —
-				// a silent death would stop per-study snapshots, so come
-				// back loudly. Durability is unaffected either way: WAL
-				// appends happen on the compute path, not here.
-				logger.Warn("persistence subscriber fell behind and was dropped; resubscribing")
-				events, _ = sched.Subscribe(256)
-			}
-		}()
 	}
 
 	if o.suitePath != "" {
@@ -460,9 +460,9 @@ func run(o options) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Periodic compaction: snapshot + WAL truncate + standby push on a
-	// timer, instead of a store rewrite per completed study.
-	if o.snapshotInterval > 0 {
+	// Periodic compaction: snapshot + WAL compaction + standby push on a
+	// timer, so neither file outgrows the store between restarts.
+	if durable {
 		go func() {
 			ticker := time.NewTicker(o.snapshotInterval)
 			defer ticker.Stop()
@@ -543,7 +543,7 @@ func run(o options) error {
 	defer cancel()
 	_ = httpSrv.Shutdown(shutdownCtx)
 	sched.Close()
-	if o.snapshotPath != "" || len(standbyURLs) > 0 {
+	if durable {
 		checkpoint("shutdown")
 	}
 	return nil

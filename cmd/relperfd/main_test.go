@@ -1,8 +1,9 @@
 package main
 
 // Process-level end-to-end test of the relperfd daemon: build the real
-// binary, start it, submit a declarative-spec suite over HTTP, snapshot,
-// kill, restart into a smaller cache that evicts one study, and re-GET it —
+// binary, start it in the durable configuration, submit a declarative-spec
+// suite over HTTP, snapshot, kill, restart into a smaller cache that
+// evicts one study, and re-GET it —
 // the response must be byte-identical, recomputed from the spec the
 // snapshot carried. The in-process twin (internal/fleet's e2e test) covers
 // the same lifecycle under -race; this one additionally exercises the
@@ -220,9 +221,10 @@ func TestDaemonSpecSnapshotRestartEvictRecompute(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildDaemon(t, dir)
 	snapPath := filepath.Join(dir, "snap.json")
+	walPath := filepath.Join(dir, "relperfd.wal")
 
 	// Generation 1: submit the declarative suite over HTTP, read results.
-	d1 := startDaemon(t, bin, "-seed", "7", "-workers", "2", "-snapshot", snapPath)
+	d1 := startDaemon(t, bin, "-seed", "7", "-workers", "2", "-wal", walPath, "-snapshot", snapPath)
 	resp, err := http.Post("http://"+d1.addr+"/v1/suites", "application/json", strings.NewReader(daemonSuite))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +333,7 @@ func TestDaemonSpecSnapshotRestartEvictRecompute(t *testing.T) {
 	// evicts two results but keeps all three specs, so the evicted studies
 	// — the sketch one among them — must be recomputed transparently,
 	// byte-identical, on their next GET.
-	d2 := startDaemon(t, bin, "-seed", "7", "-workers", "2", "-snapshot", snapPath, "-cache", "1")
+	d2 := startDaemon(t, bin, "-seed", "7", "-workers", "2", "-wal", walPath, "-snapshot", snapPath, "-cache", "1")
 	if computes, entries, specs := d2.health(t); computes != 0 || entries != 1 || specs != 3 {
 		t.Fatalf("after restart: computes=%d entries=%d specs=%d, want 0/1/3", computes, entries, specs)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,8 +40,8 @@ type Options struct {
 	// study's canonical result bytes. Any dispatch error — no workers, all
 	// retries exhausted, an unverifiable reply — falls back to local
 	// execution, so a degraded grid degrades to a single node, never to a
-	// failed suite. Studies submitted without a declarative spec (the
-	// config-level Submit path) cannot travel the wire and always run
+	// failed suite. Studies with no retained declarative spec (the
+	// synchronous Study path) cannot travel the wire and always run
 	// locally.
 	Dispatch func(ctx context.Context, task relperf.GridTask) ([]byte, error)
 	// Obs receives the scheduler's metrics and study traces; nil means a
@@ -204,38 +205,15 @@ func (s *Scheduler) Known(fp string) bool {
 	return ok
 }
 
-// Submit registers a suite of study configurations and returns their
-// fingerprints in input order. Uncached studies start computing in the
-// background immediately; duplicates (within the suite or against the
-// cache and in-flight work) cost nothing. No computation starts when any
-// configuration is invalid.
-func (s *Scheduler) Submit(configs []relperf.StudyConfig) ([]string, error) {
-	if len(configs) == 0 {
-		return nil, errors.New("fleet: no studies")
-	}
-	fps := make([]string, len(configs))
-	studies := make([]*relperf.Study, len(configs))
-	for i, cfg := range configs {
-		study, fp, err := relperf.NewKeyedStudy(cfg, s.opts.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: study %d: %w", i, err)
-		}
-		studies[i], fps[i] = study, fp
-	}
-	if err := s.ensureAll(fps, studies, nil); err != nil {
-		return nil, err
-	}
-	return fps, nil
-}
-
 // SubmitSpecs registers a suite of declarative study specs and returns
-// their fingerprints in input order — the spec-layer form of Submit. Beyond
-// resolving each spec to a runnable study, it retains the spec's canonical
-// wire JSON in the store, where snapshots persist it: a restarted daemon
-// re-resolves the snapshot spec to recompute any result the LRU has
-// evicted, so eviction never turns a submitted study into a 404 — even
-// across process lifetimes. No computation starts and no spec is retained
-// when any spec is invalid.
+// their fingerprints in input order. Uncached studies start computing in
+// the background; duplicates (within the suite or against the cache and
+// in-flight work) cost nothing. Beyond resolving each spec to a runnable
+// study, it retains the spec's canonical wire JSON in the store, where the
+// WAL and snapshots persist it: a restarted daemon re-resolves the spec to
+// recompute any result the LRU has evicted, so eviction never turns a
+// submitted study into a 404 — even across process lifetimes. No
+// computation starts and no spec is retained when any spec is invalid.
 func (s *Scheduler) SubmitSpecs(specs []StudySpec) ([]string, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("fleet: no study specs")
@@ -258,32 +236,26 @@ func (s *Scheduler) SubmitSpecs(specs []StudySpec) ([]string, error) {
 		}
 		studies[i], fps[i], blobs[i] = study, fp, blob
 	}
-	if err := s.ensureAll(fps, studies, blobs); err != nil {
-		return nil, err
+	// Every spec is retained (journaled) before any study starts, so a
+	// fast study's result can never reach the WAL ahead of a later spec of
+	// the same suite. A spec the journal refused is a study we must not
+	// promise: after a crash the daemon could neither serve nor recompute
+	// it.
+	for i, fp := range fps {
+		if err := s.store.PutSpec(fp, blobs[i]); err != nil {
+			return nil, err
+		}
+	}
+	for i, fp := range fps {
+		if _, err := s.ensure(fp, studies[i]); err != nil {
+			return nil, err
+		}
 	}
 	return fps, nil
 }
 
-// ensureAll is the shared tail of the Submit entry points: retain each
-// spec (when present) and arrange every study's computation.
-func (s *Scheduler) ensureAll(fps []string, studies []*relperf.Study, specBlobs [][]byte) error {
-	for i, fp := range fps {
-		if specBlobs != nil {
-			// A spec the journal refused is a study we must not promise:
-			// after a crash the daemon could neither serve nor recompute it.
-			if err := s.store.PutSpec(fp, specBlobs[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := s.ensure(fp, studies[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Study computes (or serves) the result for one configuration, blocking
-// until it is available: the synchronous form of Submit + Result.
+// until it is available: the synchronous form of SubmitSpecs + Result.
 func (s *Scheduler) Study(ctx context.Context, cfg relperf.StudyConfig) (string, []byte, error) {
 	study, fp, err := relperf.NewKeyedStudy(cfg, s.opts.Seed)
 	if err != nil {
@@ -462,6 +434,7 @@ func (s *Scheduler) compute(f *flight, fp string, study *relperf.Study) {
 	doneSpan := obs.Span{Name: "done", Start: end}
 	if f.err != nil {
 		s.studyErrors.Inc()
+		slog.Warn("study failed", "fp", fp, "err", f.err)
 		doneSpan.Error = f.err.Error()
 	}
 	tr.Add(fp, doneSpan)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -24,6 +25,20 @@ func testProgram() *sim.Program {
 
 func testConfig() relperf.StudyConfig {
 	return relperf.StudyConfig{Program: testProgram(), N: 8, Reps: 12}
+}
+
+// testSpec is the declarative wire form of testProgram with n measurements
+// per algorithm — the shape SubmitSpecs takes.
+func testSpec(t *testing.T, n int) StudySpec {
+	t.Helper()
+	spec, err := relperf.ParseStudySpec([]byte(fmt.Sprintf(`{"program":{"name":"fleet-test","tasks":[
+		{"name":"L1","kernel":"raw","flops":5e8,"launches":10,"host_in_bytes":1e6,"host_out_bytes":1e6,"transfers":3,"accel_eff":0.01},
+		{"name":"L2","kernel":"raw","flops":2e9,"launches":10,"host_in_bytes":5e6,"host_out_bytes":1e6,"transfers":3,"accel_eff":0.05}]},
+		"measurements":%d,"reps":12}`, n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *spec
 }
 
 // TestSchedulerCacheHit: the second request for a config is served from the
@@ -102,10 +117,8 @@ func TestSchedulerWorkerDeterminism(t *testing.T) {
 func TestSchedulerSubmitAndResult(t *testing.T) {
 	s := New(Options{Workers: 2, Seed: 3})
 	defer s.Close()
-	cfgA := testConfig()
-	cfgB := testConfig()
-	cfgB.N = 10
-	fps, err := s.Submit([]relperf.StudyConfig{cfgA, cfgB, cfgA})
+	specA, specB := testSpec(t, 8), testSpec(t, 10)
+	fps, err := s.SubmitSpecs([]StudySpec{specA, specB, specA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +171,13 @@ func TestSchedulerRestartFromSnapshot(t *testing.T) {
 }
 
 // TestSchedulerRecomputesEvictedStudy: a submitted study whose result was
-// LRU-evicted is recomputed from the retained config on the next Result —
+// LRU-evicted is recomputed from the retained study on the next Result —
 // not turned into a permanent 404 — and the recomputed bytes are identical
 // (determinism makes eviction invisible to clients).
 func TestSchedulerRecomputesEvictedStudy(t *testing.T) {
 	s := New(Options{Workers: 2, Seed: 5, Store: NewStore(1)})
 	defer s.Close()
-	cfgA := testConfig()
-	cfgB := testConfig()
-	cfgB.N = 10
-	fps, err := s.Submit([]relperf.StudyConfig{cfgA, cfgB})
+	fps, err := s.SubmitSpecs([]StudySpec{testSpec(t, 8), testSpec(t, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestSchedulerSubscribe(t *testing.T) {
 func TestSchedulerClose(t *testing.T) {
 	s := New(Options{Workers: 2, Seed: 1})
 	s.Close()
-	if _, err := s.Submit([]relperf.StudyConfig{testConfig()}); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitSpecs([]StudySpec{testSpec(t, 8)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 	if _, _, err := s.Study(context.Background(), testConfig()); !errors.Is(err, ErrClosed) {

@@ -73,8 +73,8 @@ func TestStoreMergeEvictsLikePut(t *testing.T) {
 
 func TestStoreIndex(t *testing.T) {
 	s := NewStore(0)
-	s.Put("bb", []byte("2"))
-	s.Put("aa", []byte("1"))
+	mustMerge(t, s, "bb", []byte("2"))
+	mustMerge(t, s, "aa", []byte("1"))
 	s.PutSpec("bb", []byte("{}"))
 	s.PutSpec("cc", []byte("{}"))
 	got := s.Index()

@@ -13,16 +13,6 @@ import (
 	"relperf/internal/faultpoint"
 )
 
-// WriteSnapshotAtomic persists the store's snapshot at path with full
-// crash safety — see WriteSnapshotBytesAtomic for the write protocol.
-func WriteSnapshotAtomic(store *Store, path string, seed uint64) error {
-	data, _, err := store.SnapshotCut(seed)
-	if err != nil {
-		return err
-	}
-	return WriteSnapshotBytesAtomic(data, path)
-}
-
 // WriteSnapshotBytesAtomic persists pre-serialized snapshot bytes at path
 // with full crash safety: the bytes are written to a sibling .tmp file,
 // fsync'd, renamed into place, and the parent directory is fsync'd after

@@ -4,7 +4,7 @@ package fleet
 // replays to the identical bytes, a journal that refuses an append
 // refuses the mutation with it, replay rejects records whose identity no
 // longer checks out, and the replication surfaces (MergeSnapshot, the
-// /v1/replica/snapshot handler, WriteSnapshotAtomic, Replicator.Push)
+// /v1/replica/snapshot handler, WriteSnapshotBytesAtomic, Replicator.Push)
 // hold the never-overwrite and never-litter contracts under injected
 // faults.
 
@@ -143,6 +143,34 @@ func TestStoreRefusesUnjournaledState(t *testing.T) {
 	}
 }
 
+// TestSubmitSpecsJournalsSuiteFirst: SubmitSpecs journals every spec of a
+// suite before it starts any study, so a journal that refuses a later spec
+// fails the suite with nothing computing, and no result can reach the log
+// ahead of a spec of its own suite.
+func TestSubmitSpecsJournalsSuiteFirst(t *testing.T) {
+	const seed = 11
+	defer faultpoint.Reset()
+	w, _, err := wal.Open(filepath.Join(t.TempDir(), "fleet.wal"), seed, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	store := NewStore(0)
+	store.SetWAL(w)
+	sched := New(Options{Workers: 2, Seed: seed, Store: store})
+	defer sched.Close()
+
+	faultpoint.Arm("wal.append.sync", faultpoint.Error, 2)
+	if _, err := sched.SubmitSpecs(walSpecs()); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("SubmitSpecs with the second spec refused = %v, want injected fault", err)
+	}
+	// Inflight first: a study that already left the in-flight set has
+	// counted its compute.
+	if n, c := sched.Inflight(), sched.Computes(); n != 0 || c != 0 {
+		t.Fatalf("a suite whose second spec was refused started studies (inflight %d, computes %d)", n, c)
+	}
+}
+
 // TestReplayWALRejectsForeignIdentity: a spec record whose declarative
 // body no longer resolves to the fingerprint it was journaled under, and
 // a result record that is not a canonical result document, both refuse
@@ -174,8 +202,8 @@ func TestReplayWALRejectsForeignIdentity(t *testing.T) {
 func TestMergeSnapshotSemantics(t *testing.T) {
 	const seed = 11
 	src := NewStore(0)
-	src.Put("aa", []byte(`{"a":1}`))
-	src.Put("bb", []byte(`{"b":2}`))
+	mustMerge(t, src, "aa", []byte(`{"a":1}`))
+	mustMerge(t, src, "bb", []byte(`{"b":2}`))
 	if err := src.PutSpec("aa", []byte(`{"workload":"tableI"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +229,7 @@ func TestMergeSnapshotSemantics(t *testing.T) {
 		t.Fatalf("foreign-seed merge = %v, want ErrSeedMismatch", err)
 	}
 	conflicted := NewStore(0)
-	conflicted.Put("aa", []byte(`{"a":999}`))
+	mustMerge(t, conflicted, "aa", []byte(`{"a":999}`))
 	if _, err := conflicted.MergeSnapshot(bytes.NewReader(snap.Bytes()), seed); !errors.Is(err, ErrMergeConflict) {
 		t.Fatalf("divergent merge = %v, want ErrMergeConflict", err)
 	}
@@ -218,7 +246,7 @@ func TestReplicaSnapshotEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	src := NewStore(0)
-	src.Put("aa", []byte(`{"a":1}`))
+	mustMerge(t, src, "aa", []byte(`{"a":1}`))
 	var snap bytes.Buffer
 	if err := src.WriteSnapshot(&snap, seed); err != nil {
 		t.Fatal(err)
@@ -246,7 +274,7 @@ func TestReplicaSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("foreign-seed push = %d, want 409", resp.StatusCode)
 	}
 	divergent := NewStore(0)
-	divergent.Put("aa", []byte(`{"a":999}`))
+	mustMerge(t, divergent, "aa", []byte(`{"a":999}`))
 	var div bytes.Buffer
 	if err := divergent.WriteSnapshot(&div, seed); err != nil {
 		t.Fatal(err)
@@ -259,17 +287,24 @@ func TestReplicaSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotAtomicCleansUpUnderFaults: whichever stage fails —
+// TestWriteSnapshotBytesAtomicCleansUpUnderFaults: whichever stage fails —
 // the write, the fsync, the rename — the previous snapshot survives
 // untouched and no .tmp file is left behind.
-func TestWriteSnapshotAtomicCleansUpUnderFaults(t *testing.T) {
+func TestWriteSnapshotBytesAtomicCleansUpUnderFaults(t *testing.T) {
 	const seed = 11
 	defer faultpoint.Reset()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.snapshot.json")
 	store := NewStore(0)
-	store.Put("aa", []byte(`{"a":1}`))
-	if err := WriteSnapshotAtomic(store, path, seed); err != nil {
+	writeSnapshot := func() error {
+		data, _, err := store.SnapshotCut(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return WriteSnapshotBytesAtomic(data, path)
+	}
+	mustMerge(t, store, "aa", []byte(`{"a":1}`))
+	if err := writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -277,10 +312,10 @@ func TestWriteSnapshotAtomicCleansUpUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store.Put("bb", []byte(`{"b":2}`))
+	mustMerge(t, store, "bb", []byte(`{"b":2}`))
 	for _, name := range []string{"snapshot.write", "snapshot.sync", "snapshot.rename"} {
 		faultpoint.Arm(name, faultpoint.Error, 1)
-		if err := WriteSnapshotAtomic(store, path, seed); !errors.Is(err, faultpoint.ErrInjected) {
+		if err := writeSnapshot(); !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("%s armed: err = %v, want injected fault", name, err)
 		}
 		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
@@ -295,7 +330,7 @@ func TestWriteSnapshotAtomicCleansUpUnderFaults(t *testing.T) {
 		}
 	}
 	// Faults cleared: the write goes through and the new state lands.
-	if err := WriteSnapshotAtomic(store, path, seed); err != nil {
+	if err := writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	loaded := NewStore(0)
@@ -487,7 +522,7 @@ func TestReplicatorPush(t *testing.T) {
 	defer ts.Close()
 
 	src := NewStore(0)
-	src.Put("aa", []byte(`{"a":1}`))
+	mustMerge(t, src, "aa", []byte(`{"a":1}`))
 	rep := &Replicator{URLs: []string{ts.URL}, Logf: t.Logf}
 	if err := rep.Push(context.Background(), src, seed); err != nil {
 		t.Fatal(err)
@@ -497,7 +532,7 @@ func TestReplicatorPush(t *testing.T) {
 	}
 	// One dead standby degrades the round, not the others.
 	rep2 := &Replicator{URLs: []string{"http://127.0.0.1:1", ts.URL}, Logf: t.Logf}
-	src.Put("bb", []byte(`{"b":2}`))
+	mustMerge(t, src, "bb", []byte(`{"b":2}`))
 	if err := rep2.Push(context.Background(), src, seed); err == nil {
 		t.Fatal("push with a dead standby reported success")
 	}

@@ -355,9 +355,8 @@ func (s *Server) handleSuites(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// SubmitSpecs (not Submit): beyond starting the studies it retains each
-	// spec's wire JSON in the store, so snapshots can recompute evictions
-	// after a restart.
+	// Beyond starting the studies, SubmitSpecs retains each spec's wire
+	// JSON in the store, so evictions stay recomputable after a restart.
 	fps, err := s.sched.SubmitSpecs(req.Studies)
 	if err != nil {
 		code := http.StatusBadRequest

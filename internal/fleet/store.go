@@ -29,13 +29,17 @@ const SnapshotSchema = "relperf/fleet-snapshot/v1"
 
 // Store is a content-addressed result cache: canonical wire-encoded study
 // results keyed by config fingerprint, with LRU eviction and JSON snapshot
-// persistence so a restarted daemon serves warm results. Alongside the
-// result blobs it retains the declarative spec (wire JSON) of every study
-// submitted through the spec layer; specs are tiny, never evicted, and are
-// persisted in snapshots — they are the recipes a restarted daemon uses to
-// recompute results the LRU evicted. Safe for concurrent use.
+// persistence so a restarted daemon serves warm results. Results enter
+// only through Merge, so a fingerprint never changes bytes once stored:
+// every source (a local compute, a grid worker, a WAL replay, a snapshot
+// load or a replica push) either agrees with what is held or fails with
+// ErrMergeConflict. Alongside the result blobs it retains the declarative
+// spec (wire JSON) of every study submitted through the spec layer; specs
+// are tiny, never evicted, and are persisted in snapshots — they are the
+// recipes a restarted daemon uses to recompute results the LRU evicted.
+// Safe for concurrent use.
 type Store struct {
-	// writeMu serializes mutators (Put, Merge, PutSpec, snapshot capture)
+	// writeMu serializes mutators (Merge, PutSpec, snapshot capture)
 	// against each other; mu alone guards visibility. The split is what
 	// keeps the hot serving path off the disk: a journaled mutation holds
 	// writeMu across its append→visible window but releases mu around the
@@ -99,21 +103,6 @@ func (s *Store) Contains(fp string) bool {
 	return ok
 }
 
-// Put stores the encoding under the fingerprint, replacing any previous
-// value, and evicts least-recently-used entries beyond the capacity.
-func (s *Store) Put(fp string, blob []byte) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[fp]; ok {
-		el.Value.(*storeEntry).blob = blob
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.putLocked(fp, blob)
-}
-
 // putLocked inserts a new entry and applies the capacity bound. The caller
 // holds mu and has verified fp is absent.
 func (s *Store) putLocked(fp string, blob []byte) {
@@ -144,10 +133,10 @@ func (s *Store) SetWAL(w *wal.Log) {
 // must surface loudly, never be papered over by overwriting.
 var ErrMergeConflict = errors.New("fleet: store merge conflict")
 
-// Merge stores the encoding under the fingerprint like Put, but with the
-// multi-source contract the grid coordinator relies on: merging the same
-// bytes again is an idempotent no-op (beyond an LRU recency bump), and
-// merging different bytes for an existing fingerprint is an
+// Merge stores the encoding under the fingerprint, most recently used,
+// and evicts least-recently-used entries beyond the capacity. Merging the
+// same bytes again is an idempotent no-op (beyond an LRU recency bump),
+// and merging different bytes for an existing fingerprint is an
 // ErrMergeConflict — the store never silently replaces a result it already
 // serves. One fingerprint must mean one sequence of bytes, whichever node
 // computed it.
@@ -238,7 +227,7 @@ func (s *Store) Index() []IndexEntry {
 	}
 	s.mu.Unlock()
 	// Sorting dominates on a large store; do it off the mutex so an
-	// enumeration never stalls Get/Put/Merge for the O(n log n) part.
+	// enumeration never stalls Get/Merge for the O(n log n) part.
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out
 }
@@ -305,7 +294,7 @@ func (s *Store) Stats() Stats {
 }
 
 // snapshot is the persisted form: entries from least to most recently used
-// so replaying them through Put restores both contents and recency, plus
+// so replaying them through Merge restores both contents and recency, plus
 // the retained study specs (sorted by fingerprint so equal stores write
 // byte-identical snapshots). Specs is optional — snapshots written before
 // the declarative-spec schema load fine, they just cannot seed recompute.
@@ -419,14 +408,18 @@ func decodeSnapshot(r io.Reader, seed uint64) (*snapshot, error) {
 // suite seed and returns how many are actually retained afterwards — a
 // capacity-bounded store may LRU-evict earlier entries during the replay,
 // and reporting the raw entry count would let an operator believe evicted
-// results are servable. A seed mismatch is an ErrSeedMismatch.
+// results are servable. Entries go through Merge, so a snapshot that
+// disagrees with bytes the store already holds is an ErrMergeConflict,
+// never a silent replacement. A seed mismatch is an ErrSeedMismatch.
 func (s *Store) LoadSnapshot(r io.Reader, seed uint64) (int, error) {
 	snap, err := decodeSnapshot(r, seed)
 	if err != nil {
 		return 0, err
 	}
 	for _, e := range snap.Entries {
-		s.Put(e.Fingerprint, []byte(e.Result))
+		if err := s.Merge(e.Fingerprint, []byte(e.Result)); err != nil {
+			return 0, err
+		}
 	}
 	for _, e := range snap.Specs {
 		if err := s.PutSpec(e.Fingerprint, []byte(e.Spec)); err != nil {

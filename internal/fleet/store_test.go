@@ -2,19 +2,28 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 )
 
+// mustMerge stores a result through Merge, the store's only insert path.
+func mustMerge(t *testing.T, s *Store, fp string, blob []byte) {
+	t.Helper()
+	if err := s.Merge(fp, blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStoreLRUEviction(t *testing.T) {
 	s := NewStore(2)
-	s.Put("a", []byte(`{"v":1}`))
-	s.Put("b", []byte(`{"v":2}`))
+	mustMerge(t, s, "a", []byte(`{"v":1}`))
+	mustMerge(t, s, "b", []byte(`{"v":2}`))
 	if _, ok := s.Get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	s.Put("c", []byte(`{"v":3}`))
+	mustMerge(t, s, "c", []byte(`{"v":3}`))
 	if _, ok := s.Get("b"); ok {
 		t.Fatal("b should have been evicted as LRU")
 	}
@@ -30,16 +39,20 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStoreUnboundedAndReplace(t *testing.T) {
 	s := NewStore(0)
 	for i := 0; i < 100; i++ {
-		s.Put("k", []byte(`{"v":0}`))
+		mustMerge(t, s, "k", []byte(`{"v":0}`))
 	}
-	s.Put("k2", []byte(`{"v":1}`))
+	mustMerge(t, s, "k2", []byte(`{"v":1}`))
 	if s.Len() != 2 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	s.Put("k", []byte(`{"v":9}`))
+	// A stored result is never replaced: different bytes are a conflict
+	// and the old bytes are still served.
+	if err := s.Merge("k", []byte(`{"v":9}`)); !errors.Is(err, ErrMergeConflict) {
+		t.Fatalf("replacing merge = %v, want ErrMergeConflict", err)
+	}
 	blob, _ := s.Get("k")
-	if string(blob) != `{"v":9}` {
-		t.Fatalf("replace failed: %s", blob)
+	if string(blob) != `{"v":0}` {
+		t.Fatalf("conflicting merge replaced the stored bytes: %s", blob)
 	}
 }
 
@@ -47,8 +60,8 @@ func TestStoreUnboundedAndReplace(t *testing.T) {
 // byte-for-byte.
 func TestStoreSnapshotRoundTrip(t *testing.T) {
 	s := NewStore(0)
-	s.Put("aaaa", []byte(`{"schema":"x","v":[1,2,3]}`))
-	s.Put("bbbb", []byte(`{"schema":"x","v":[4.000000000000001]}`))
+	mustMerge(t, s, "aaaa", []byte(`{"schema":"x","v":[1,2,3]}`))
+	mustMerge(t, s, "bbbb", []byte(`{"schema":"x","v":[4.000000000000001]}`))
 	s.Get("aaaa") // aaaa becomes MRU
 
 	var buf bytes.Buffer
@@ -88,7 +101,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 func TestStoreSnapshotLoadBounded(t *testing.T) {
 	src := NewStore(0)
 	for _, fp := range []string{"a", "b", "c", "d", "e"} {
-		src.Put(fp, []byte(`{}`))
+		mustMerge(t, src, fp, []byte(`{}`))
 	}
 	var buf bytes.Buffer
 	if err := src.WriteSnapshot(&buf, 1); err != nil {
@@ -113,10 +126,10 @@ func TestStoreSnapshotLoadBounded(t *testing.T) {
 // stores write byte-identical snapshots regardless of spec insertion order.
 func TestStoreSpecSnapshot(t *testing.T) {
 	s := NewStore(1)
-	s.Put("aaaa", []byte(`{"v":1}`))
+	mustMerge(t, s, "aaaa", []byte(`{"v":1}`))
 	s.PutSpec("aaaa", []byte(`{"workload":"tableI"}`))
 	s.PutSpec("bbbb", []byte(`{"workload":"fig1"}`))
-	s.Put("bbbb", []byte(`{"v":2}`)) // evicts result aaaa, not its spec
+	mustMerge(t, s, "bbbb", []byte(`{"v":2}`)) // evicts result aaaa, not its spec
 	if _, ok := s.Get("aaaa"); ok {
 		t.Fatal("result aaaa should have been evicted")
 	}
@@ -148,8 +161,8 @@ func TestStoreSpecSnapshot(t *testing.T) {
 	s2 := NewStore(1)
 	s2.PutSpec("bbbb", []byte(`{"workload":"fig1"}`))
 	s2.PutSpec("aaaa", []byte(`{"workload":"tableI"}`))
-	s2.Put("aaaa", []byte(`{"v":1}`))
-	s2.Put("bbbb", []byte(`{"v":2}`))
+	mustMerge(t, s2, "aaaa", []byte(`{"v":1}`))
+	mustMerge(t, s2, "bbbb", []byte(`{"v":2}`))
 	var buf2 bytes.Buffer
 	if err := s2.WriteSnapshot(&buf2, 7); err != nil {
 		t.Fatal(err)
@@ -175,7 +188,7 @@ func TestStoreSnapshotWithoutSpecs(t *testing.T) {
 
 func TestStoreSnapshotSeedMismatch(t *testing.T) {
 	s := NewStore(0)
-	s.Put("aaaa", []byte(`{}`))
+	mustMerge(t, s, "aaaa", []byte(`{}`))
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf, 1); err != nil {
 		t.Fatal(err)

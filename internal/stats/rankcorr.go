@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrLengthMismatch is returned when paired samples differ in length.
@@ -48,27 +47,4 @@ func KendallTau(x, y []float64) (float64, error) {
 		return 0, nil
 	}
 	return (concordant - discordant) / math.Sqrt(denomX*denomY), nil
-}
-
-// Midranks returns the 1-based midranks of xs (ties share the average rank).
-func Midranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j < n && xs[idx[j]] == xs[idx[i]] {
-			j++
-		}
-		mid := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			ranks[idx[k]] = mid
-		}
-		i = j
-	}
-	return ranks
 }

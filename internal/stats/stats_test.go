@@ -393,16 +393,6 @@ func TestKendallTauErrors(t *testing.T) {
 	}
 }
 
-func TestMidranks(t *testing.T) {
-	r := Midranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("midranks = %v, want %v", r, want)
-		}
-	}
-}
-
 func TestBootstrapIntoMatchesBootstrap(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	a := Bootstrap(xrand.New(9), xs, Mean, 40)

@@ -146,11 +146,9 @@ type Log struct {
 // replays them before attaching the log to live components, so replayed
 // events are not re-journaled.
 //
-// Recovery streams the file frame by frame rather than slurping it: a
-// daemon without -snapshot-interval compacts only at shutdown, so after a
-// crashy or long-running stretch the log can be far larger than the state
-// it encodes, and startup memory must stay O(one frame + recovered
-// records), not O(file size).
+// Recovery streams the file frame by frame rather than slurping it, so
+// startup memory stays O(one frame + recovered records), not O(file
+// size), however large the log grew between compactions.
 func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log, []Record, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
