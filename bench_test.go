@@ -358,7 +358,7 @@ func BenchmarkKernelVariants(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, fa, err := relperf.ClusterSamples(ss, nil, 50, 3)
+	_, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{Reps: 50, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

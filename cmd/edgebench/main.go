@@ -355,7 +355,7 @@ func kernels(nMeas, reps int, seed uint64) error {
 	if err := report.SummaryTable(os.Stdout, ss.Names(), ss.Data()); err != nil {
 		return err
 	}
-	cr, fa, err := relperf.ClusterSamplesWith(ss, nil, relperf.ClusterSamplesOptions{
+	cr, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{
 		Reps: reps, Seed: seed + 1, Workers: workers, Matrix: matrix,
 	})
 	if err != nil {
@@ -529,7 +529,7 @@ func hybrid(nMeas, reps int, seed uint64) error {
 	if err := report.SummaryTable(os.Stdout, ss.Names(), ss.Data()); err != nil {
 		return err
 	}
-	_, fa, err := relperf.ClusterSamplesWith(ss, nil, relperf.ClusterSamplesOptions{
+	_, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{
 		Reps: reps, Seed: seed + 1, Workers: workers, Matrix: matrix,
 	})
 	if err != nil {

@@ -137,7 +137,7 @@ func cmdCluster(args []string) error {
 	if err != nil {
 		return err
 	}
-	cr, fa, err := relperf.ClusterSamplesWith(ss, nil, relperf.ClusterSamplesOptions{
+	cr, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{
 		Reps: *reps, Seed: *seed, Workers: *workers, Matrix: *matrix,
 	})
 	if err != nil {
@@ -265,7 +265,7 @@ func cmdKernels(args []string) error {
 	if err := report.SummaryTable(os.Stdout, ss.Names(), ss.Data()); err != nil {
 		return err
 	}
-	_, fa, err := relperf.ClusterSamplesWith(ss, nil, relperf.ClusterSamplesOptions{
+	_, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{
 		Reps: *reps, Seed: *seed + 1, Workers: *workers, Matrix: *matrix,
 	})
 	if err != nil {

@@ -206,9 +206,9 @@ func almostEqual(a, b float64) bool {
 	return d <= 1e-12*scale
 }
 
-// TestClusterSamplesWithMatrix: the matrix path separates clearly distinct
+// TestClusterSamplesMatrix: the matrix path separates clearly distinct
 // distributions exactly like the live path.
-func TestClusterSamplesWithMatrix(t *testing.T) {
+func TestClusterSamplesMatrix(t *testing.T) {
 	ss := &measure.SampleSet{
 		Workload: "w",
 		Samples: []measure.Sample{
@@ -217,7 +217,7 @@ func TestClusterSamplesWithMatrix(t *testing.T) {
 			{Name: "slow", Seconds: []float64{2, 2.01, 2.02, 1.99, 2.0, 2.03, 1.98, 2.01, 2.0, 2.02}},
 		},
 	}
-	cr, fa, err := ClusterSamplesWith(ss, nil, ClusterSamplesOptions{Reps: 30, Seed: 5, Matrix: true})
+	cr, fa, err := ClusterSamples(ss, nil, ClusterSamplesOptions{Reps: 30, Seed: 5, Matrix: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func main() {
 		if err := report.SummaryTable(os.Stdout, ss.Names(), ss.Data()); err != nil {
 			log.Fatal(err)
 		}
-		_, fa, err := relperf.ClusterSamples(ss, nil, 100, 3)
+		_, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{Reps: 100, Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

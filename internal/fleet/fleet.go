@@ -15,8 +15,8 @@ import (
 )
 
 // ErrUnknownStudy is returned by Result for a fingerprint no suite ever
-// submitted: it is not cached, not in flight, and neither a config nor a
-// snapshot spec is retained to recompute it from.
+// submitted: it is not cached, not in flight, and no spec is retained to
+// recompute it from.
 var ErrUnknownStudy = errors.New("fleet: unknown study fingerprint")
 
 // ErrClosed is returned once the scheduler has shut down.
@@ -40,9 +40,7 @@ type Options struct {
 	// study's canonical result bytes. Any dispatch error — no workers, all
 	// retries exhausted, an unverifiable reply — falls back to local
 	// execution, so a degraded grid degrades to a single node, never to a
-	// failed suite. Studies with no retained declarative spec (the
-	// synchronous Study path) cannot travel the wire and always run
-	// locally.
+	// failed suite.
 	Dispatch func(ctx context.Context, task relperf.GridTask) ([]byte, error)
 	// Obs receives the scheduler's metrics and study traces; nil means a
 	// private obs.New(), so the /v1/metrics, /v1/statz and /v1/trace
@@ -93,16 +91,6 @@ type Scheduler struct {
 	mu       sync.Mutex
 	closed   bool
 	inflight map[string]*flight
-	// studies retains every submitted study (validated, fingerprinted,
-	// seeded — relperf.NewKeyedStudy) so a result evicted from the LRU
-	// store is recomputed on demand instead of turning into a permanent
-	// 404 for the rest of the process lifetime. Growth is bounded by the
-	// number of distinct configs ever submitted, which the daemon's
-	// workloads keep small; the blobs (the heavy part) stay governed by
-	// the store. Across restarts the same role is played by the store's
-	// spec registry: SubmitSpecs persists each study's declarative wire
-	// spec into the snapshot, and Result falls back to re-resolving it.
-	studies map[string]*relperf.Study
 
 	computes atomic.Uint64
 
@@ -148,7 +136,6 @@ func New(opts Options) *Scheduler {
 		ctx:      ctx,
 		cancel:   cancel,
 		inflight: make(map[string]*flight),
-		studies:  make(map[string]*relperf.Study),
 		subs:     make(map[int]chan StudyEvent),
 	}
 	s.registerMetrics()
@@ -188,17 +175,15 @@ func (s *Scheduler) Computing(fp string) bool {
 }
 
 // Known reports whether the scheduler can serve the fingerprint at all: a
-// cached result, an in-flight computation, a retained study, or a
-// snapshot spec to recompute from. The SSE handler checks this before
-// telling a subscriber a study is queued — a fingerprint nobody ever
-// submitted must stream only its error, never a status implying it
-// exists.
+// cached result, an in-flight computation, or a retained spec to
+// recompute from. The SSE handler checks this before telling a subscriber
+// a study is queued — a fingerprint nobody ever submitted must stream only
+// its error, never a status implying it exists.
 func (s *Scheduler) Known(fp string) bool {
 	s.mu.Lock()
 	_, inflight := s.inflight[fp]
-	_, submitted := s.studies[fp]
 	s.mu.Unlock()
-	if inflight || submitted || s.store.Contains(fp) {
+	if inflight || s.store.Contains(fp) {
 		return true
 	}
 	_, ok := s.store.Spec(fp)
@@ -208,12 +193,13 @@ func (s *Scheduler) Known(fp string) bool {
 // SubmitSpecs registers a suite of declarative study specs and returns
 // their fingerprints in input order. Uncached studies start computing in
 // the background; duplicates (within the suite or against the cache and
-// in-flight work) cost nothing. Beyond resolving each spec to a runnable
-// study, it retains the spec's canonical wire JSON in the store, where the
-// WAL and snapshots persist it: a restarted daemon re-resolves the spec to
-// recompute any result the LRU has evicted, so eviction never turns a
-// submitted study into a 404 — even across process lifetimes. No
-// computation starts and no spec is retained when any spec is invalid.
+// in-flight work) cost nothing. SubmitSpecs is the only way a study enters
+// the scheduler. Beyond resolving each spec to a runnable study, it retains
+// the spec's canonical wire JSON in the store, where the WAL and snapshots
+// persist it: Result re-resolves the spec to recompute any result the LRU
+// has evicted, so eviction never turns a submitted study into a 404 — in
+// this process or after a restart. No computation starts and no spec is
+// retained when any spec is invalid.
 func (s *Scheduler) SubmitSpecs(specs []StudySpec) ([]string, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("fleet: no study specs")
@@ -254,37 +240,12 @@ func (s *Scheduler) SubmitSpecs(specs []StudySpec) ([]string, error) {
 	return fps, nil
 }
 
-// Study computes (or serves) the result for one configuration, blocking
-// until it is available: the synchronous form of SubmitSpecs + Result.
-func (s *Scheduler) Study(ctx context.Context, cfg relperf.StudyConfig) (string, []byte, error) {
-	study, fp, err := relperf.NewKeyedStudy(cfg, s.opts.Seed)
-	if err != nil {
-		return "", nil, err
-	}
-	for {
-		f, err := s.ensure(fp, study)
-		if err != nil {
-			return fp, nil, err
-		}
-		if f == nil { // served from cache
-			if blob, ok := s.store.Get(fp); ok {
-				return fp, blob, nil
-			}
-			// Evicted between ensure and Get under a tiny LRU; go around
-			// and compute it again.
-			continue
-		}
-		blob, err := s.wait(ctx, f)
-		return fp, blob, err
-	}
-}
-
 // Result returns the encoded result for a fingerprint: from the cache, by
 // waiting for the in-flight computation, or — for a study whose result was
-// LRU-evicted — by recomputing it from the retained study or, after a
-// restart, from the declarative spec persisted in the snapshot.
-// Fingerprints with none of those return ErrUnknownStudy: the scheduler
-// cannot reconstruct a config from its hash alone.
+// LRU-evicted — by recomputing it from the declarative spec the store
+// retains (SubmitSpecs journals it; the WAL and snapshots carry it across
+// restarts). Fingerprints with none of those return ErrUnknownStudy: the
+// scheduler cannot reconstruct a config from its hash alone.
 func (s *Scheduler) Result(ctx context.Context, fp string) ([]byte, error) {
 	for {
 		if blob, ok := s.store.Get(fp); ok {
@@ -292,32 +253,24 @@ func (s *Scheduler) Result(ctx context.Context, fp string) ([]byte, error) {
 		}
 		s.mu.Lock()
 		f, ok := s.inflight[fp]
+		s.mu.Unlock()
 		if ok {
-			s.mu.Unlock()
 			s.coalesced.Inc()
 			return s.wait(ctx, f)
 		}
 		// The flight may have landed between the cache miss and the lock;
 		// completions publish to the store before leaving the in-flight
-		// set, so with no retained config a second absence really is
-		// unknown (within this process — see the studies field). Contains,
-		// not Get: one logical lookup should count at
+		// set, so a second absence means the result was evicted (or never
+		// computed). Contains, not Get: one logical lookup should count at
 		// most one miss — the top of the loop fetches (and counts the hit).
-		study, submitted := s.studies[fp]
-		s.mu.Unlock()
 		if s.store.Contains(fp) {
 			continue
 		}
-		if !submitted {
-			// Restart path: the in-process study registry is empty, but the
-			// snapshot may have carried the study's declarative spec.
-			var err error
-			study, err = s.studyFromSpec(fp)
-			if err != nil {
-				return nil, err
-			}
+		study, err := s.studyFromSpec(fp)
+		if err != nil {
+			return nil, err
 		}
-		f, err := s.ensure(fp, study)
+		f, err = s.ensure(fp, study)
 		if err != nil {
 			return nil, err
 		}
@@ -330,10 +283,11 @@ func (s *Scheduler) Result(ctx context.Context, fp string) ([]byte, error) {
 }
 
 // studyFromSpec rebuilds a runnable study from the spec the store retains
-// for the fingerprint (typically restored from a snapshot). The resolved
-// spec must fingerprint back to fp — a mismatch means the snapshot was
-// written by an engine with different result semantics, and serving a
-// recompute under the old identity would break the determinism contract.
+// for the fingerprint (submitted in this process, or restored from the WAL
+// or a snapshot). The resolved spec must fingerprint back to fp — a
+// mismatch means the spec was written by an engine with different result
+// semantics, and serving a recompute under the old identity would break
+// the determinism contract.
 func (s *Scheduler) studyFromSpec(fp string) (*relperf.Study, error) {
 	raw, ok := s.store.Spec(fp)
 	if !ok {
@@ -370,17 +324,15 @@ func (s *Scheduler) wait(ctx context.Context, f *flight) ([]byte, error) {
 }
 
 // ensure arranges for fp's result to exist: a cache hit returns (nil, nil),
-// an in-flight or newly started computation returns its flight, and the
-// study is retained either way so evictions stay recomputable. This is
-// the single-flight point — at most one computation per fingerprint exists
-// at any moment.
+// and an in-flight or newly started computation returns its flight. This
+// is the single-flight point — at most one computation per fingerprint
+// exists at any moment.
 func (s *Scheduler) ensure(fp string, study *relperf.Study) (*flight, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	s.studies[fp] = study
 	if f, ok := s.inflight[fp]; ok {
 		s.coalesced.Inc()
 		return f, nil
@@ -441,12 +393,11 @@ func (s *Scheduler) compute(f *flight, fp string, study *relperf.Study) {
 	s.publish(StudyEvent{Fingerprint: fp, Phase: PhaseDone, Result: f.res, Err: f.err})
 }
 
-// run executes a retained study (already validated and seeded by
-// NewKeyedStudy) and encodes the result. With a dispatch hook and a
-// retained declarative spec the study is offered to the grid first; a
-// dispatched result only counts if it parses back — anything else falls
-// back to local execution, which the determinism contract guarantees
-// produces the identical bytes.
+// run executes a study (already validated and seeded by NewKeyedStudy)
+// and encodes the result. With a dispatch hook the study's retained spec
+// is offered to the grid first; a dispatched result only counts if it
+// parses back — anything else falls back to local execution, which the
+// determinism contract guarantees produces the identical bytes.
 func (s *Scheduler) run(fp string, study *relperf.Study) ([]byte, *relperf.Result, error) {
 	tr := s.obs.Trace()
 	if s.opts.Dispatch != nil {

@@ -3,32 +3,18 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"relperf"
-	"relperf/internal/sim"
 )
 
-// testProgram is a cheap two-task program so fleet tests stay fast.
-func testProgram() *sim.Program {
-	return &sim.Program{
-		Name: "fleet-test",
-		Tasks: []sim.Task{
-			{Name: "L1", Flops: 5e8, Launches: 10, HostInBytes: 1e6, HostOutBytes: 1e6, Transfers: 3, EdgeEff: 1, AccelEff: 0.01},
-			{Name: "L2", Flops: 2e9, Launches: 10, HostInBytes: 5e6, HostOutBytes: 1e6, Transfers: 3, EdgeEff: 1, AccelEff: 0.05},
-		},
-	}
-}
-
-func testConfig() relperf.StudyConfig {
-	return relperf.StudyConfig{Program: testProgram(), N: 8, Reps: 12}
-}
-
-// testSpec is the declarative wire form of testProgram with n measurements
-// per algorithm — the shape SubmitSpecs takes.
+// testSpec is a cheap two-task declarative study with n measurements per
+// algorithm, so fleet tests stay fast.
 func testSpec(t *testing.T, n int) StudySpec {
 	t.Helper()
 	spec, err := relperf.ParseStudySpec([]byte(fmt.Sprintf(`{"program":{"name":"fleet-test","tasks":[
@@ -41,23 +27,32 @@ func testSpec(t *testing.T, n int) StudySpec {
 	return *spec
 }
 
+// submitAndWait submits one spec and blocks until its result is available:
+// the fingerprint and the encoded result.
+func submitAndWait(t *testing.T, s *Scheduler, spec StudySpec) (string, []byte) {
+	t.Helper()
+	fps, err := s.SubmitSpecs([]StudySpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.Result(context.Background(), fps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fps[0], blob
+}
+
 // TestSchedulerCacheHit: the second request for a config is served from the
 // store without re-running — the compute counter stays at 1 and the bytes
 // are the identical stored slice contents.
 func TestSchedulerCacheHit(t *testing.T) {
 	s := New(Options{Workers: 2, Seed: 5})
 	defer s.Close()
-	_, first, err := s.Study(context.Background(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := submitAndWait(t, s, testSpec(t, 8))
 	if got := s.Computes(); got != 1 {
 		t.Fatalf("computes = %d after first request", got)
 	}
-	_, second, err := s.Study(context.Background(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, second := submitAndWait(t, s, testSpec(t, 8))
 	if got := s.Computes(); got != 1 {
 		t.Fatalf("computes = %d after cache hit, want 1 (no recomputation)", got)
 	}
@@ -72,13 +67,19 @@ func TestSchedulerSingleFlight(t *testing.T) {
 	s := New(Options{Workers: 2, Seed: 5})
 	defer s.Close()
 	const callers = 8
+	spec := testSpec(t, 8)
 	blobs := make([][]byte, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, blob, err := s.Study(context.Background(), testConfig())
+			fps, err := s.SubmitSpecs([]StudySpec{spec})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			blob, err := s.Result(context.Background(), fps[0])
 			if err != nil {
 				t.Error(err)
 				return
@@ -103,14 +104,131 @@ func TestSchedulerWorkerDeterminism(t *testing.T) {
 	run := func(workers int) []byte {
 		s := New(Options{Workers: workers, Seed: 77})
 		defer s.Close()
-		_, blob, err := s.Study(context.Background(), testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, blob := submitAndWait(t, s, testSpec(t, 8))
 		return blob
 	}
 	if !bytes.Equal(run(1), run(8)) {
 		t.Fatal("results differ between Workers=1 and Workers=8")
+	}
+}
+
+// suiteSpecs is a three-study suite over the engine's paths: a plain exact
+// study, a matrix study and a study with warmup runs.
+func suiteSpecs(t *testing.T) []StudySpec {
+	warm := testSpec(t, 10)
+	warm.Warmup = 1
+	return []StudySpec{
+		testSpec(t, 10),
+		{Workload: "tableI", LoopN: 2, Measurements: 8, Reps: 16, Matrix: true},
+		warm,
+	}
+}
+
+// TestSuiteWorkerDeterminism is the fleet acceptance property: a suite run
+// at Workers=1 and Workers=8 yields byte-identical JSON wire documents for
+// every study.
+func TestSuiteWorkerDeterminism(t *testing.T) {
+	encodeAll := func(workers int) map[string][]byte {
+		s := New(Options{Workers: workers, Seed: 42})
+		defer s.Close()
+		fps, err := s.SubmitSpecs(suiteSpecs(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(fps))
+		for _, fp := range fps {
+			blob, err := s.Result(context.Background(), fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fp] = blob
+		}
+		return out
+	}
+	ref := encodeAll(1)
+	got := encodeAll(8)
+	if len(ref) != 3 || len(ref) != len(got) {
+		t.Fatalf("study counts: %d vs %d, want 3", len(ref), len(got))
+	}
+	for fp, blob := range ref {
+		if !bytes.Equal(blob, got[fp]) {
+			t.Fatalf("study %s differs between Workers=1 and Workers=8", fp)
+		}
+	}
+}
+
+// TestSuiteDedupeAndCompositionInvariance: a duplicate spec computes once,
+// and a study's result does not depend on what else is in the suite — it
+// equals the standalone study run under the derived seed.
+func TestSuiteDedupeAndCompositionInvariance(t *testing.T) {
+	const seed = 7
+	s := New(Options{Workers: 2, Seed: seed})
+	defer s.Close()
+	events, cancel := s.Subscribe(32)
+	defer cancel()
+	specs := suiteSpecs(t)
+	specs = append(specs, specs[0]) // duplicate of the first study
+	fps, err := s.SubmitSpecs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fps) != 4 || fps[0] != fps[3] || fps[0] == fps[1] || fps[0] == fps[2] || fps[1] == fps[2] {
+		t.Fatalf("fingerprints = %v, want the duplicate mapped to the first", fps)
+	}
+	results := make(map[string][]byte, 3)
+	for _, fp := range fps {
+		blob, err := s.Result(context.Background(), fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[fp] = blob
+	}
+	if got := s.Computes(); got != 3 {
+		t.Fatalf("computes = %d, want 3 after dedupe", got)
+	}
+	// Each study publishes exactly one done event, after its result lands.
+	done := 0
+	for done < 3 {
+		select {
+		case ev := <-events:
+			if ev.Phase == PhaseDone {
+				done++
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("saw %d done events, want 3", done)
+		}
+	}
+	select {
+	case ev := <-events:
+		t.Fatalf("extra event after the suite completed: %+v", ev)
+	default:
+	}
+
+	// Standalone reproduction of every study from (seed, fingerprint)
+	// alone.
+	for i, fp := range fps[:3] {
+		cfg, err := specs[i].Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Seed, err = relperf.StudySeed(seed, fp); err != nil {
+			t.Fatal(err)
+		}
+		study, err := relperf.NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		standalone, err := study.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := standalone.MarshalWire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, results[fp]) {
+			t.Fatalf("study %d: suite result differs from the standalone study under the derived seed", i)
+		}
 	}
 }
 
@@ -142,10 +260,7 @@ func TestSchedulerSubmitAndResult(t *testing.T) {
 // store's snapshot serves the identical bytes without recomputing.
 func TestSchedulerRestartFromSnapshot(t *testing.T) {
 	s1 := New(Options{Workers: 2, Seed: 9})
-	fp, want, err := s1.Study(context.Background(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp, want := submitAndWait(t, s1, testSpec(t, 8))
 	var snap bytes.Buffer
 	if err := s1.Store().WriteSnapshot(&snap, s1.Seed()); err != nil {
 		t.Fatal(err)
@@ -171,7 +286,7 @@ func TestSchedulerRestartFromSnapshot(t *testing.T) {
 }
 
 // TestSchedulerRecomputesEvictedStudy: a submitted study whose result was
-// LRU-evicted is recomputed from the retained study on the next Result —
+// LRU-evicted is recomputed from the retained spec on the next Result —
 // not turned into a permanent 404 — and the recomputed bytes are identical
 // (determinism makes eviction invisible to clients).
 func TestSchedulerRecomputesEvictedStudy(t *testing.T) {
@@ -204,10 +319,7 @@ func TestSchedulerSubscribe(t *testing.T) {
 	defer s.Close()
 	ch, cancel := s.Subscribe(4)
 	defer cancel()
-	fp, _, err := s.Study(context.Background(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp, _ := submitAndWait(t, s, testSpec(t, 8))
 	// Phase events arrive in order: computing first, then done.
 	ev := <-ch
 	if ev.Fingerprint != fp || ev.Phase != PhaseComputing || ev.Result != nil || ev.Err != nil {
@@ -223,13 +335,32 @@ func TestSchedulerSubscribe(t *testing.T) {
 }
 
 func TestSchedulerClose(t *testing.T) {
-	s := New(Options{Workers: 2, Seed: 1})
+	// A spec retained before the scheduler starts: its result is
+	// recomputable, so only the closed scheduler stands in the way.
+	spec := testSpec(t, 8)
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := relperf.Fingerprint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(0)
+	if err := store.PutSpec(fp, raw); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 2, Seed: 1, Store: store})
 	s.Close()
-	if _, err := s.SubmitSpecs([]StudySpec{testSpec(t, 8)}); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitSpecs([]StudySpec{spec}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
-	if _, _, err := s.Study(context.Background(), testConfig()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("study after close: %v", err)
+	if _, err := s.Result(context.Background(), fp); !errors.Is(err, ErrClosed) {
+		t.Fatalf("recompute after close: %v", err)
 	}
 }
 

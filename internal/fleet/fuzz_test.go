@@ -2,8 +2,8 @@ package fleet
 
 // Fuzz harness for the suite-request wire decoder (the POST /v1/suites
 // body): malformed bodies must return errors — surfaced as HTTP 400 by the
-// server — never panic, and every accepted request must resolve through
-// Configs without panicking. Run continuously with:
+// server — never panic, and every accepted request's specs must resolve
+// through StudySpec.Config without panicking. Run continuously with:
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeSuiteRequest$' -fuzztime 30s ./internal/fleet
 
@@ -37,8 +37,10 @@ func FuzzDecodeSuiteRequest(f *testing.F) {
 		}
 		// Accepted requests resolve (or fail cleanly) without panicking;
 		// resolution errors are legal — the scheduler surfaces them as 400s.
-		if _, err := req.Configs(); err != nil {
-			return
+		for i := range req.Studies {
+			if _, err := req.Studies[i].Config(); err != nil {
+				return
+			}
 		}
 	})
 }

@@ -28,15 +28,9 @@ type SuiteRequest struct {
 	Platforms map[string]*relperf.PlatformSpec `json:"platforms,omitempty"`
 }
 
-// Configs resolves every spec of the request.
-func (r *SuiteRequest) Configs() ([]relperf.StudyConfig, error) {
-	return relperf.ConfigsFromSpecs(r.Studies)
-}
-
 // DecodeSuiteRequest parses a request body, rejecting unknown fields so
 // spec typos fail loudly instead of silently running the default study.
-// Every spec is validated; resolution happens in Configs or
-// Scheduler.SubmitSpecs.
+// Every spec is validated; resolution happens in Scheduler.SubmitSpecs.
 func DecodeSuiteRequest(rd io.Reader) (*SuiteRequest, error) {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()

@@ -21,14 +21,14 @@ func TestExampleSuiteDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs, err := req.Configs()
-	if err != nil {
-		t.Fatal(err)
+	if len(req.Studies) < 5 {
+		t.Fatalf("example suite has %d studies, expected the declarative one to be present", len(req.Studies))
 	}
-	if len(configs) < 5 {
-		t.Fatalf("example suite has %d studies, expected the declarative one to be present", len(configs))
-	}
-	for i, cfg := range configs {
+	for i := range req.Studies {
+		cfg, err := req.Studies[i].Config()
+		if err != nil {
+			t.Fatalf("study %d: %v", i, err)
+		}
 		if _, err := relperf.Fingerprint(cfg); err != nil {
 			t.Fatalf("study %d: %v", i, err)
 		}

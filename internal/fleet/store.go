@@ -4,11 +4,11 @@
 // snapshot persistence, and an HTTP Server exposing both — the engine
 // behind the relperfd daemon.
 //
-// Identity and determinism come from the relperf suite layer: a study is
-// addressed by its canonical config fingerprint, its seed derives from
-// (suite seed, fingerprint), and the stored value is the study's canonical
-// wire encoding — so a cached, snapshot-restored or freshly computed result
-// for one fingerprint is always the same sequence of bytes.
+// Identity and determinism come from the relperf suite primitives: a
+// study is addressed by its canonical config fingerprint, its seed derives
+// from (suite seed, fingerprint), and the stored value is the study's
+// canonical wire encoding — so a cached, snapshot-restored or freshly
+// computed result for one fingerprint is always the same sequence of bytes.
 package fleet
 
 import (

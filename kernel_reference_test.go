@@ -84,7 +84,7 @@ func TestEngineIndexKernelMatchesReferenceAtAnyWorkerCount(t *testing.T) {
 				{"index-space", nil}, // nil → the shipped bootstrap comparator
 			} {
 				for _, workers := range []int{1, 8} {
-					cr, fa, err := relperf.ClusterSamplesWith(ss, v.cmp, relperf.ClusterSamplesOptions{
+					cr, fa, err := relperf.ClusterSamples(ss, v.cmp, relperf.ClusterSamplesOptions{
 						Reps: 25, Seed: 9, Workers: workers, Matrix: matrix,
 					})
 					if err != nil {

@@ -68,11 +68,6 @@ func TableIProgram(n int) *sim.Program {
 	return workload.TableI(n, sim.DefaultPlatform().Accel.PeakFlops)
 }
 
-// Figure1Program returns the paper's two-loop Figure-1 workload.
-func Figure1Program() *sim.Program {
-	return workload.Figure1(sim.DefaultPlatform().Accel.PeakFlops)
-}
-
 // StudyConfig configures an end-to-end study.
 type StudyConfig struct {
 	// Platform is the modeled hardware; DefaultPlatform() if nil.
@@ -554,15 +549,7 @@ func clusterSketches(ss *measure.SketchSet, cmp compare.SketchComparator, cfg cl
 	})
 }
 
-// ClusterSamples runs the comparison and clustering stages over pre-measured
-// distributions (e.g. loaded from CSV with measure.ReadCSV) — the paper's
-// footnote-5 workflow of re-clustering archived measurements. It is
-// ClusterSamplesWith at the default options.
-func ClusterSamples(ss *measure.SampleSet, cmp compare.Comparator, reps int, seed uint64) (*core.ClusterResult, *core.FinalAssignment, error) {
-	return ClusterSamplesWith(ss, cmp, ClusterSamplesOptions{Reps: reps, Seed: seed})
-}
-
-// ClusterSamplesOptions configures ClusterSamplesWith.
+// ClusterSamplesOptions configures ClusterSamples.
 type ClusterSamplesOptions struct {
 	// Reps is the number of clustering repetitions (default 100).
 	Reps int
@@ -579,7 +566,9 @@ type ClusterSamplesOptions struct {
 	MatrixTrials int
 }
 
-// ClusterSamplesWith is ClusterSamples with explicit engine options: the
+// ClusterSamples runs the comparison and clustering stages over pre-measured
+// distributions (e.g. loaded from CSV with measure.ReadCSV) — the paper's
+// footnote-5 workflow of re-clustering archived measurements. The
 // repetitions run on a worker pool, each on a fork of cmp (or of the
 // default bootstrap comparator), under the same determinism contract as
 // Study.Run. As with StudyConfig.Comparator, cmp contributes only its
@@ -591,7 +580,7 @@ type ClusterSamplesOptions struct {
 // change between calls are re-sorted automatically; beyond that, the set
 // is assumed immutable while being clustered — the methodology re-clusters
 // archived measurements (footnote 5), it never edits them in place.
-func ClusterSamplesWith(ss *measure.SampleSet, cmp compare.Comparator, opts ClusterSamplesOptions) (*core.ClusterResult, *core.FinalAssignment, error) {
+func ClusterSamples(ss *measure.SampleSet, cmp compare.Comparator, opts ClusterSamplesOptions) (*core.ClusterResult, *core.FinalAssignment, error) {
 	if err := ss.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -24,16 +24,15 @@ func newBenchServer(tb testing.TB) (*fleet.Server, *fleet.Scheduler, *http.Reque
 	tb.Helper()
 	sched := fleet.New(fleet.Options{Workers: 0, Seed: 1})
 	srv := fleet.NewServer(sched)
-	fp, _, err := sched.Study(context.Background(), relperf.StudyConfig{
-		Program: relperf.TableIProgram(2),
-		N:       6,
-		Reps:    10,
-	})
+	fps, err := sched.SubmitSpecs([]relperf.StudySpec{{Workload: "tableI", LoopN: 2, Measurements: 6, Reps: 10}})
+	if err == nil {
+		_, err = sched.Result(context.Background(), fps[0])
+	}
 	if err != nil {
 		sched.Close()
 		tb.Fatal(err)
 	}
-	return srv, sched, httptest.NewRequest(http.MethodGet, "/v1/studies/"+fp, nil)
+	return srv, sched, httptest.NewRequest(http.MethodGet, "/v1/studies/"+fps[0], nil)
 }
 
 func BenchmarkServerGetStudy(b *testing.B) {

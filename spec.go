@@ -984,20 +984,3 @@ func (ns *NoiseSpec) resolve() device.NoiseModel {
 	}
 	return nil
 }
-
-// ConfigsFromSpecs resolves every spec into a runnable configuration — the
-// bridge from the wire schema to SuiteConfig.Studies.
-func ConfigsFromSpecs(specs []StudySpec) ([]StudyConfig, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("relperf: no study specs")
-	}
-	configs := make([]StudyConfig, len(specs))
-	for i := range specs {
-		cfg, err := specs[i].Config()
-		if err != nil {
-			return nil, fmt.Errorf("relperf: spec study %d: %w", i, err)
-		}
-		configs[i] = cfg
-	}
-	return configs, nil
-}

@@ -356,26 +356,3 @@ func TestSpecNamedWorkloadPlatformOverride(t *testing.T) {
 		t.Fatal("different platforms share a fingerprint")
 	}
 }
-
-// TestNewSuiteFromSpecs: the local bridge from wire specs to the suite
-// layer dedupes equal specs exactly like equal configs.
-func TestNewSuiteFromSpecs(t *testing.T) {
-	specs := []StudySpec{
-		{Workload: "tableI", LoopN: 2, Measurements: 5, Reps: 8},
-		{Workload: "tableI", LoopN: 2, Measurements: 5, Reps: 8},
-	}
-	suite, err := NewSuiteFromSpecs(specs, 7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if suite.Len() != 1 {
-		t.Fatalf("suite.Len() = %d for two equal specs", suite.Len())
-	}
-	fps := suite.Fingerprints()
-	if len(fps) != 2 || fps[0] != fps[1] {
-		t.Fatalf("fingerprints = %v", fps)
-	}
-	if _, err := NewSuiteFromSpecs(nil, 7, 2); err == nil {
-		t.Fatal("empty spec list accepted")
-	}
-}

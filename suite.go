@@ -1,10 +1,12 @@
 package relperf
 
-// This file is the multi-study layer of the library: canonical config
-// fingerprinting, the shared worker Budget, and the Suite API that runs
-// many studies — deduplicated by fingerprint — on one global concurrency
-// budget. The fleet scheduler (internal/fleet) and the relperfd daemon are
-// built on these primitives.
+// This file holds the primitives the suite runner is built on: canonical
+// config fingerprinting, per-study seed derivation, the shared worker
+// Budget and suite-level platform references. The suite runner is the
+// fleet scheduler (internal/fleet), which the relperfd daemon serves as
+// POST /v1/suites: it deduplicates studies by fingerprint, caches their
+// results and recomputes evicted ones from their retained declarative
+// specs.
 //
 // The determinism contract extends to suites: every study's seed derives
 // from xrand.Mix(suiteSeed, fingerprintKey), so a study's Result depends
@@ -14,14 +16,12 @@ package relperf
 // under its fingerprint is valid for every future suite with the same seed.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"relperf/internal/compare"
 	"relperf/internal/core"
@@ -254,8 +254,8 @@ func fingerprintComparator(w io.Writer, cmp compare.Comparator) error {
 
 // StudySeed derives the seed a study with the given fingerprint runs under
 // in a suite keyed by suiteSeed. The derivation depends only on the two
-// inputs, so any runner — Suite.Run, the fleet scheduler, a remote worker —
-// reproduces the exact same study.
+// inputs, so any runner — the fleet scheduler, a grid worker, a standalone
+// NewStudy run — reproduces the exact same study.
 func StudySeed(suiteSeed uint64, fingerprint string) (uint64, error) {
 	b, err := hex.DecodeString(fingerprint)
 	if err != nil || len(b) < 8 {
@@ -267,9 +267,9 @@ func StudySeed(suiteSeed uint64, fingerprint string) (uint64, error) {
 // NewKeyedStudy builds the study exactly as it runs inside a suite keyed
 // by suiteSeed: validated once, fingerprinted, and seeded with
 // StudySeed(suiteSeed, fingerprint). cfg.Seed and cfg.Workers are ignored —
-// the derivation replaces the former and the suite's shared budget governs
-// the latter. This is the one-build primitive the suite and fleet layers
-// share; the returned Study is safe to run repeatedly and concurrently.
+// the derivation replaces the former and the Budget passed to RunOn governs
+// the latter. The fleet scheduler builds every study it runs this way; the
+// returned Study is safe to run repeatedly and concurrently.
 func NewKeyedStudy(cfg StudyConfig, suiteSeed uint64) (*Study, string, error) {
 	cfg.Workers = 0
 	study, err := NewStudy(cfg)
@@ -286,146 +286,6 @@ func NewKeyedStudy(cfg StudyConfig, suiteSeed uint64) (*Study, string, error) {
 	}
 	study.cfg.Seed = seed
 	return study, fp, nil
-}
-
-// SuiteConfig configures a multi-study run.
-type SuiteConfig struct {
-	// Studies are the member configurations. Their Seed and Workers fields
-	// are ignored: seeds derive from Seed and each study's fingerprint, and
-	// all studies share the suite's worker budget.
-	Studies []StudyConfig
-	// Seed keys every study (see StudySeed). Suites with equal seeds
-	// produce bit-identical per-study results whatever the budget.
-	Seed uint64
-	// Workers is the global concurrency budget shared by every work unit
-	// of every study (0 means GOMAXPROCS).
-	Workers int
-}
-
-// Suite is a validated, deduplicated set of studies ready to run on one
-// shared budget.
-type Suite struct {
-	cfg SuiteConfig
-	// studies and fps hold the deduplicated members in first-occurrence
-	// order; inputFPs maps every input config (duplicates included) to its
-	// fingerprint.
-	studies  []*Study
-	fps      []string
-	inputFPs []string
-}
-
-// NewSuite validates every member configuration, fingerprints it, drops
-// duplicates (same fingerprint ⇒ same result) and derives the members'
-// seeds from cfg.Seed.
-func NewSuite(cfg SuiteConfig) (*Suite, error) {
-	if len(cfg.Studies) == 0 {
-		return nil, errors.New("relperf: SuiteConfig.Studies is empty")
-	}
-	s := &Suite{cfg: cfg}
-	seen := make(map[string]bool, len(cfg.Studies))
-	for i := range cfg.Studies {
-		study, fp, err := NewKeyedStudy(cfg.Studies[i], cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("relperf: suite study %d: %w", i, err)
-		}
-		s.inputFPs = append(s.inputFPs, fp)
-		if seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		s.studies = append(s.studies, study)
-		s.fps = append(s.fps, fp)
-	}
-	return s, nil
-}
-
-// Fingerprints returns the fingerprint of every input configuration in
-// input order, duplicates included — the suite's submission receipt.
-func (s *Suite) Fingerprints() []string {
-	out := make([]string, len(s.inputFPs))
-	copy(out, s.inputFPs)
-	return out
-}
-
-// Len returns the number of deduplicated studies the suite will run.
-func (s *Suite) Len() int { return len(s.studies) }
-
-// StudyOutcome is one completed study, streamed to a Suite.Stream callback.
-type StudyOutcome struct {
-	// Fingerprint identifies the study's configuration.
-	Fingerprint string
-	// Result is the completed study result.
-	Result *Result
-}
-
-// SuiteResult holds every deduplicated study result of a suite run.
-type SuiteResult struct {
-	// Fingerprints lists the deduplicated studies in first-occurrence
-	// order; Results is index-aligned.
-	Fingerprints []string
-	Results      []*Result
-	byFP         map[string]*Result
-}
-
-// ByFingerprint returns the result of the study with the given
-// fingerprint, or false when the suite did not contain it.
-func (sr *SuiteResult) ByFingerprint(fp string) (*Result, bool) {
-	r, ok := sr.byFP[fp]
-	return r, ok
-}
-
-// Run executes every deduplicated study of the suite concurrently on one
-// shared worker budget and returns all results. Per-study results are
-// bit-identical for equal suite seeds at every budget width.
-func (s *Suite) Run(ctx context.Context) (*SuiteResult, error) {
-	return s.Stream(ctx, nil)
-}
-
-// Stream is Run with a subscriber: fn (when non-nil) is invoked with each
-// study's outcome as it completes — completion order varies with
-// scheduling, the outcomes themselves never do. Callbacks are serialized;
-// a slow subscriber delays notifications, not study execution.
-func (s *Suite) Stream(ctx context.Context, fn func(StudyOutcome)) (*SuiteResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	budget := NewBudget(s.cfg.Workers)
-	results := make([]*Result, len(s.studies))
-	errs := make([]error, len(s.studies))
-	var cbMu sync.Mutex
-	var wg sync.WaitGroup
-	for i := range s.studies {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := s.studies[i].RunOn(ctx, budget)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = res
-			if fn != nil {
-				cbMu.Lock()
-				fn(StudyOutcome{Fingerprint: s.fps[i], Result: res})
-				cbMu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	sr := &SuiteResult{
-		Fingerprints: append([]string(nil), s.fps...),
-		Results:      results,
-		byFP:         make(map[string]*Result, len(results)),
-	}
-	for i, fp := range sr.Fingerprints {
-		sr.byFP[fp] = results[i]
-	}
-	return sr, nil
 }
 
 // ExpandPlatformRefs resolves named-platform references in a suite's study
@@ -468,25 +328,4 @@ func ExpandPlatformRefs(specs []StudySpec, platforms map[string]*PlatformSpec) e
 		specs[i].Platform = def
 	}
 	return nil
-}
-
-// NewSuiteFromSpecs builds a suite from declarative wire specs (the JSON
-// schema of spec.go): each spec resolves to a StudyConfig, then the members
-// are deduplicated, keyed and budgeted exactly as in NewSuite. This is the
-// local (in-process) counterpart of POSTing the specs to a relperfd daemon.
-func NewSuiteFromSpecs(specs []StudySpec, seed uint64, workers int) (*Suite, error) {
-	configs, err := ConfigsFromSpecs(specs)
-	if err != nil {
-		return nil, err
-	}
-	return NewSuite(SuiteConfig{Studies: configs, Seed: seed, Workers: workers})
-}
-
-// RunSuite is the one-call form: NewSuite followed by Run.
-func RunSuite(ctx context.Context, cfg SuiteConfig) (*SuiteResult, error) {
-	suite, err := NewSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return suite.Run(ctx)
 }

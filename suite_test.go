@@ -10,14 +10,6 @@ import (
 	"relperf/internal/xrand"
 )
 
-func suiteStudies() []StudyConfig {
-	return []StudyConfig{
-		{Program: smallProgram(), N: 10, Reps: 20},
-		{Program: TableIProgram(2), N: 8, Reps: 16, Matrix: true},
-		{Program: smallProgram(), N: 10, Reps: 20, Warmup: 1},
-	}
-}
-
 func TestFingerprintIdentityAndNormalization(t *testing.T) {
 	base := StudyConfig{Program: smallProgram(), N: 30, Reps: 100}
 	fp, err := Fingerprint(base)
@@ -156,95 +148,6 @@ func TestFingerprintNoiseCanonical(t *testing.T) {
 	}
 	if none != nilNoise {
 		t.Fatal("NoNoise and nil noise are behaviorally identical but fingerprint differently")
-	}
-}
-
-// TestSuiteWorkerDeterminism is the fleet acceptance property: a suite run
-// at Workers=1 and Workers=8 yields byte-identical JSON wire documents for
-// every study.
-func TestSuiteWorkerDeterminism(t *testing.T) {
-	encodeAll := func(workers int) map[string][]byte {
-		sr, err := RunSuite(context.Background(), SuiteConfig{
-			Studies: suiteStudies(),
-			Seed:    42,
-			Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string][]byte, len(sr.Results))
-		for i, fp := range sr.Fingerprints {
-			blob, err := sr.Results[i].MarshalWire()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[fp] = blob
-		}
-		return out
-	}
-	ref := encodeAll(1)
-	got := encodeAll(8)
-	if len(ref) != len(got) {
-		t.Fatalf("study counts differ: %d vs %d", len(ref), len(got))
-	}
-	for fp, blob := range ref {
-		if !bytes.Equal(blob, got[fp]) {
-			t.Fatalf("study %s differs between Workers=1 and Workers=8", fp)
-		}
-	}
-}
-
-// TestSuiteDedupeAndCompositionInvariance: duplicate configs run once, and
-// a study's result does not depend on what else is in the suite — it equals
-// the standalone study run under the derived seed.
-func TestSuiteDedupeAndCompositionInvariance(t *testing.T) {
-	cfgs := suiteStudies()
-	cfgs = append(cfgs, cfgs[0]) // duplicate of the first study
-	suite, err := NewSuite(SuiteConfig{Studies: cfgs, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := suite.Fingerprints()
-	if len(fps) != 4 || fps[0] != fps[3] {
-		t.Fatalf("fingerprints = %v, want the duplicate mapped to the first", fps)
-	}
-	if suite.Len() != 3 {
-		t.Fatalf("suite runs %d studies, want 3 after dedupe", suite.Len())
-	}
-
-	var streamed int
-	sr, err := suite.Stream(context.Background(), func(StudyOutcome) { streamed++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != 3 {
-		t.Fatalf("streamed %d outcomes, want 3", streamed)
-	}
-
-	// Standalone reproduction of the first study from (seed, fingerprint)
-	// alone.
-	seed, err := StudySeed(7, fps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := cfgs[0]
-	sc.Seed = seed
-	study, err := NewStudy(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	standalone, err := study.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := standalone.MarshalWire()
-	inSuite, ok := sr.ByFingerprint(fps[0])
-	if !ok {
-		t.Fatal("first study missing from suite result")
-	}
-	got, _ := inSuite.MarshalWire()
-	if !bytes.Equal(want, got) {
-		t.Fatal("suite result differs from the standalone study under the derived seed")
 	}
 }
 

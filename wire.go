@@ -64,15 +64,6 @@ func UnmarshalResultWire(b []byte) (*Result, error) {
 	}, nil
 }
 
-// ReadResultJSON reads one wire document from rd.
-func ReadResultJSON(rd io.Reader) (*Result, error) {
-	b, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalResultWire(b)
-}
-
 // GridTask is the envelope of one study sharded to a remote worker: the
 // fingerprint addresses it, the derived seed (StudySeed of the suite seed
 // and the fingerprint) pins its randomness, and the declarative spec is
