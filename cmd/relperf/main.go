@@ -8,30 +8,24 @@
 //	    measure + cluster + report in one step
 //	relperf placements -tasks 3
 //	    enumerate the algorithm set of an L-task code
-//	relperf kernels -size 64 -N 30
-//	    measure + cluster the equivalent RLS kernel variants (real host times)
-//	relperf race -workload tableI
-//	    find the best placement with racing elimination
+//
+// The paper's tables and figures are reproduced by cmd/edgebench.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"relperf"
-	"relperf/internal/compare"
 	"relperf/internal/measure"
 	"relperf/internal/report"
-	"relperf/internal/search"
 	"relperf/internal/sim"
-	"relperf/internal/workload"
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: relperf <measure|cluster|study|placements|kernels|race> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: relperf <measure|cluster|study|placements> [flags]")
 	os.Exit(2)
 }
 
@@ -49,10 +43,6 @@ func main() {
 		err = cmdStudy(os.Args[2:])
 	case "placements":
 		err = cmdPlacements(os.Args[2:])
-	case "kernels":
-		err = cmdKernels(os.Args[2:])
-	case "race":
-		err = cmdRace(os.Args[2:])
 	default:
 		usage()
 	}
@@ -62,32 +52,35 @@ func main() {
 	}
 }
 
-// buildStudy assembles a study for one of the named workloads. workers and
-// matrix configure the parallel engine; results are worker-count-invariant.
-func buildStudy(workloadName string, n, nMeas, reps int, seed uint64, workers int, matrix bool) (*relperf.Study, error) {
-	var cfg relperf.StudyConfig
-	switch workloadName {
-	case "tableI", "table1":
-		cfg.Program = relperf.TableIProgram(n)
-		cfg.Platform = relperf.DefaultPlatform()
-	case "fig1", "figure1":
-		cfg.Platform = relperf.Figure1Platform()
-		cfg.Program = workload.Figure1(cfg.Platform.Accel.PeakFlops)
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want tableI or fig1)", workloadName)
+// workloadSpec is the StudySpec a subcommand's -workload flag names. -n
+// becomes LoopN only when it was given, so the tableI default comes from
+// the spec and fig1, whose loops are fixed, rejects it loudly.
+func workloadSpec(fs *flag.FlagSet, wl string, n int) *relperf.StudySpec {
+	sp := &relperf.StudySpec{Workload: wl}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "n" {
+			sp.LoopN = n
+		}
+	})
+	return sp
+}
+
+// specStudy resolves a spec into a runnable study with the runtime-only
+// seed and worker count, the resolution path the relperfd daemon uses.
+func specStudy(sp *relperf.StudySpec, seed uint64, workers int) (*relperf.Study, error) {
+	cfg, err := sp.Config()
+	if err != nil {
+		return nil, err
 	}
-	cfg.N = nMeas
-	cfg.Reps = reps
 	cfg.Seed = seed
 	cfg.Workers = workers
-	cfg.Matrix = matrix
 	return relperf.NewStudy(cfg)
 }
 
 func cmdMeasure(args []string) error {
 	fs := flag.NewFlagSet("measure", flag.ExitOnError)
 	wl := fs.String("workload", "tableI", "workload: tableI|fig1")
-	n := fs.Int("n", 10, "loop iterations per MathTask")
+	n := fs.Int("n", 0, "loop iterations per MathTask, tableI only (default 10)")
 	nMeas := fs.Int("N", 30, "measurements per algorithm")
 	seed := fs.Uint64("seed", 1, "seed")
 	out := fs.String("out", "", "CSV output path (default stdout)")
@@ -95,7 +88,10 @@ func cmdMeasure(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	study, err := buildStudy(*wl, *n, *nMeas, 1, *seed, *workers, false)
+	sp := workloadSpec(fs, *wl, *n)
+	sp.Measurements = *nMeas
+	sp.Reps = 1
+	study, err := specStudy(sp, *seed, *workers)
 	if err != nil {
 		return err
 	}
@@ -155,7 +151,7 @@ func cmdCluster(args []string) error {
 func cmdStudy(args []string) error {
 	fs := flag.NewFlagSet("study", flag.ExitOnError)
 	wl := fs.String("workload", "tableI", "workload: tableI|fig1")
-	n := fs.Int("n", 10, "loop iterations per MathTask")
+	n := fs.Int("n", 0, "loop iterations per MathTask, tableI only (default 10)")
 	nMeas := fs.Int("N", 30, "measurements per algorithm")
 	reps := fs.Int("reps", 100, "clustering repetitions")
 	seed := fs.Uint64("seed", 1, "seed")
@@ -186,7 +182,11 @@ func cmdStudy(args []string) error {
 		}
 		study, err = buildSpecStudy(*spec, *seed, *workers)
 	} else {
-		study, err = buildStudy(*wl, *n, *nMeas, *reps, *seed, *workers, *matrix)
+		sp := workloadSpec(fs, *wl, *n)
+		sp.Measurements = *nMeas
+		sp.Reps = *reps
+		sp.Matrix = *matrix
+		study, err = specStudy(sp, *seed, *workers)
 	}
 	if err != nil {
 		return err
@@ -214,13 +214,7 @@ func buildSpecStudy(path string, seed uint64, workers int) (*relperf.Study, erro
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := sp.Config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	return relperf.NewStudy(cfg)
+	return specStudy(sp, seed, workers)
 }
 
 func cmdPlacements(args []string) error {
@@ -238,98 +232,4 @@ func cmdPlacements(args []string) error {
 		fmt.Printf("  alg%s\n", pl)
 	}
 	return nil
-}
-
-func cmdKernels(args []string) error {
-	fs := flag.NewFlagSet("kernels", flag.ExitOnError)
-	size := fs.Int("size", 64, "square matrix dimension")
-	nMeas := fs.Int("N", 30, "measurements per variant")
-	reps := fs.Int("reps", 100, "clustering repetitions")
-	seed := fs.Uint64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	matrix := fs.Bool("matrix", false, "precompute pairwise outcome statistics")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	diff, err := workload.VerifyVariantsAgree(*size, 0.5, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("equivalence witness: max solution difference %.2e\n\n", diff)
-	ss, err := workload.MeasureKernelVariants(workload.KernelStudyConfig{
-		Size: *size, N: *nMeas, Seed: *seed,
-	})
-	if err != nil {
-		return err
-	}
-	if err := report.SummaryTable(os.Stdout, ss.Names(), ss.Data()); err != nil {
-		return err
-	}
-	_, fa, err := relperf.ClusterSamples(ss, nil, relperf.ClusterSamplesOptions{
-		Reps: *reps, Seed: *seed + 1, Workers: *workers, Matrix: *matrix,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nFinal clustering:")
-	return report.FinalTable(os.Stdout, fa, ss.Names())
-}
-
-func cmdRace(args []string) error {
-	fs := flag.NewFlagSet("race", flag.ExitOnError)
-	wl := fs.String("workload", "tableI", "workload: tableI|fig1")
-	n := fs.Int("n", 10, "loop iterations per MathTask")
-	round := fs.Int("round", 10, "measurements per surviving arm per round")
-	rounds := fs.Int("rounds", 6, "maximum rounds")
-	seed := fs.Uint64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "comparison workers per round (0 = GOMAXPROCS); results identical at any count")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var plat = relperf.DefaultPlatform()
-	var prog *sim.Program
-	var tasks int
-	switch *wl {
-	case "tableI", "table1":
-		prog = relperf.TableIProgram(*n)
-		tasks = 3
-	case "fig1", "figure1":
-		plat = relperf.Figure1Platform()
-		prog = workload.Figure1(plat.Accel.PeakFlops)
-		tasks = 2
-	default:
-		return fmt.Errorf("unknown workload %q", *wl)
-	}
-	s, err := sim.NewSimulator(plat, *seed)
-	if err != nil {
-		return err
-	}
-	var arms []search.Arm
-	for _, pl := range sim.EnumeratePlacements(tasks) {
-		pl := pl
-		arms = append(arms, search.Arm{
-			Name:    pl.String(),
-			Measure: func() (float64, error) { return s.Seconds(prog, pl) },
-		})
-	}
-	// Race forks the bootstrap comparator per pair and races the
-	// elimination comparisons in parallel; the seed keys every stream, so
-	// the survivors are identical at any -workers.
-	res, err := search.Race(context.Background(), arms, compare.NewBootstrap(*seed+1), search.Config{
-		RoundSize: *round, MaxRounds: *rounds, Seed: *seed + 2, Workers: *workers,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d rounds, %d measurements; survivors: %v\n",
-		res.Rounds, res.TotalMeasurements, res.Survivors)
-	tbl := report.NewTable("Algorithm", "Measurements", "Eliminated in round")
-	for _, a := range res.Arms {
-		el := "-"
-		if a.EliminatedInRound > 0 {
-			el = fmt.Sprintf("%d", a.EliminatedInRound)
-		}
-		tbl.AddRow("alg"+a.Name, fmt.Sprintf("%d", a.Measurements), el)
-	}
-	return tbl.Render(os.Stdout)
 }

@@ -1,20 +1,41 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
+// TestBuildStudy: the -workload/-n flags resolve through StudySpec, -n
+// reaches LoopN only when given, and the spec rejects what it cannot run.
 func TestBuildStudy(t *testing.T) {
-	if _, err := buildStudy("tableI", 5, 10, 20, 1, 0, false); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		args     []string
+		wantLoop int
+		wantErr  bool
+	}{
+		{[]string{"-workload", "tableI"}, 0, false},
+		{[]string{"-workload", "tableI", "-n", "5"}, 5, false},
+		{[]string{"-workload", "fig1"}, 0, false},
+		{[]string{"-workload", "fig1", "-n", "5"}, 5, true},
+		{[]string{"-workload", "nope"}, 0, true},
 	}
-	if _, err := buildStudy("fig1", 5, 10, 20, 1, 2, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildStudy("nope", 5, 10, 20, 1, 0, false); err == nil {
-		t.Fatal("unknown workload accepted")
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("study", flag.ContinueOnError)
+		wl := fs.String("workload", "tableI", "")
+		n := fs.Int("n", 0, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		sp := workloadSpec(fs, *wl, *n)
+		if sp.LoopN != tc.wantLoop {
+			t.Errorf("%v: LoopN = %d, want %d", tc.args, sp.LoopN, tc.wantLoop)
+		}
+		if _, err := specStudy(sp, 1, 2); (err != nil) != tc.wantErr {
+			t.Errorf("%v: err = %v, want error %v", tc.args, err, tc.wantErr)
+		}
 	}
 }
 
@@ -47,11 +68,27 @@ func TestCmdClusterErrors(t *testing.T) {
 }
 
 func TestCmdStudy(t *testing.T) {
-	if err := cmdStudy([]string{"-workload", "tableI", "-n", "2", "-N", "5", "-reps", "10"}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-workload", "tableI", "-n", "2", "-N", "5", "-reps", "10"}, ""},
+		{[]string{"-workload", "bogus"}, "unknown workload"},
+		// fig1's loops are fixed: an explicit -n is an error, not a no-op.
+		{[]string{"-workload", "fig1", "-n", "5", "-N", "5", "-reps", "10"}, "loop_n"},
 	}
-	if err := cmdStudy([]string{"-workload", "bogus"}); err == nil {
-		t.Fatal("bogus workload accepted")
+	for _, tc := range cases {
+		err := cmdStudy(tc.args)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%v: %v", tc.args, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
+		}
+	}
+	if err := cmdMeasure([]string{"-workload", "fig1", "-n", "5", "-N", "5"}); err == nil {
+		t.Error("measure: -n with fig1 accepted")
 	}
 }
 
@@ -116,20 +153,5 @@ func TestCmdPlacements(t *testing.T) {
 	}
 	if err := cmdPlacements([]string{"-tasks", "99"}); err == nil {
 		t.Fatal("huge task count accepted")
-	}
-}
-
-func TestCmdKernels(t *testing.T) {
-	if err := cmdKernels([]string{"-size", "16", "-N", "5", "-reps", "10"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCmdRace(t *testing.T) {
-	if err := cmdRace([]string{"-workload", "tableI", "-n", "2", "-round", "5", "-rounds", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdRace([]string{"-workload", "bogus"}); err == nil {
-		t.Fatal("bogus workload accepted")
 	}
 }

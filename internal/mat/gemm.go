@@ -18,9 +18,9 @@ const mulParallelFlops = 1 << 21
 
 // Mul returns m · n. Small products use the blocked serial kernel; above
 // mulParallelFlops multiply-adds the rows are partitioned over GOMAXPROCS
-// goroutines. In-repo, the threshold is crossed by the real-kernel RLS
-// variants from square size 128 up (e.g. `relperf kernels -size 128`);
-// smaller studies stay on the serial kernel.
+// goroutines. No in-repo front end crosses the threshold: the real-kernel
+// RLS variants of edgebench -exp kernels and -exp hybrid run at sizes of
+// 64 and below, on the serial kernel. The mat tests cover MulParallel.
 func (m *Mat) Mul(n *Mat) (*Mat, error) {
 	if int64(m.Rows)*int64(m.Cols)*int64(n.Cols) >= mulParallelFlops {
 		return m.MulParallel(n, 0)

@@ -59,9 +59,6 @@ import (
 // PCIe).
 func DefaultPlatform() *sim.Platform { return sim.DefaultPlatform() }
 
-// Figure1Platform returns the testbed model used by the Figure-1 workload.
-func Figure1Platform() *sim.Platform { return workload.Figure1Platform() }
-
 // TableIProgram returns the paper's three-MathTask scientific code
 // (Procedure 5) with n loop iterations per task.
 func TableIProgram(n int) *sim.Program {
@@ -171,14 +168,28 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	placements := cfg.Placements
 	if placements == nil {
 		placements = sim.EnumeratePlacements(len(cfg.Program.Tasks))
-	}
-	for _, pl := range placements {
-		if len(pl) != len(cfg.Program.Tasks) {
-			return nil, fmt.Errorf("relperf: placement %s does not fit program with %d tasks",
-				pl, len(cfg.Program.Tasks))
-		}
+	} else if err := checkPlacements(placements, len(cfg.Program.Tasks)); err != nil {
+		return nil, err
 	}
 	return &Study{cfg: cfg, placements: placements}, nil
+}
+
+// checkPlacements rejects a placement that does not fit a tasks-long
+// program and a placement listed twice: a repeat would be measured twice
+// and yield two profiles of one name, so ProfileByName would be ambiguous.
+// StudySpec.Validate and NewStudy share it.
+func checkPlacements(placements []sim.Placement, tasks int) error {
+	seen := make(map[string]bool, len(placements))
+	for _, pl := range placements {
+		if len(pl) != tasks {
+			return fmt.Errorf("relperf: placement %s has %d slots for a %d-task program", pl, len(pl), tasks)
+		}
+		if seen[pl.String()] {
+			return fmt.Errorf("relperf: placement %s is listed twice", pl)
+		}
+		seen[pl.String()] = true
+	}
+	return nil
 }
 
 // Result is the outcome of a study: the measured distributions, the

@@ -35,6 +35,13 @@ func TestNewStudyValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("mismatched placement accepted")
 	}
+	dd, _ := sim.ParsePlacement("DD")
+	if _, err := NewStudy(StudyConfig{
+		Program:    smallProgram(),
+		Placements: []sim.Placement{dd, dd},
+	}); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("repeated placement: got %v, want a \"twice\" error", err)
+	}
 }
 
 func TestStudyRunEndToEnd(t *testing.T) {
@@ -201,9 +208,6 @@ func TestClusterSamples(t *testing.T) {
 
 func TestPublicConstructors(t *testing.T) {
 	if err := DefaultPlatform().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := Figure1Platform().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := TableIProgram(10).Validate(); err != nil {

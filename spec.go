@@ -380,17 +380,24 @@ func (sp *StudySpec) Validate() error {
 			return fmt.Errorf("relperf: sketch mode requires comparator \"sketch\" (or none), got %q", sp.Comparator)
 		}
 	}
-	tasks := sp.taskCount()
+	placements, err := sp.placements()
+	if err != nil {
+		return err
+	}
+	return checkPlacements(placements, sp.taskCount())
+}
+
+// placements parses the spec's placement names.
+func (sp *StudySpec) placements() ([]sim.Placement, error) {
+	var pls []sim.Placement
 	for _, raw := range sp.Placements {
 		pl, err := sim.ParsePlacement(raw)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(pl) != tasks {
-			return fmt.Errorf("relperf: placement %q has %d slots for a %d-task program", raw, len(pl), tasks)
-		}
+		pls = append(pls, pl)
 	}
-	return nil
+	return pls, nil
 }
 
 // taskCount returns the program length the spec resolves to (for placement
@@ -522,12 +529,8 @@ func (sp *StudySpec) Config() (StudyConfig, error) {
 			cfg.Comparator = compare.SketchComparator{}
 		}
 	}
-	for _, raw := range sp.Placements {
-		pl, err := sim.ParsePlacement(raw)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Placements = append(cfg.Placements, pl)
+	if cfg.Placements, err = sp.placements(); err != nil {
+		return cfg, err
 	}
 	cfg.N = sp.Measurements
 	cfg.Warmup = sp.Warmup

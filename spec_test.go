@@ -131,6 +131,7 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"unknown comparator", `{"workload":"tableI","comparator":"psychic"}`, "unknown comparator"},
 		{"bad placement", `{"workload":"tableI","placements":["DXA"]}`, "placement"},
 		{"placement length mismatch", `{"workload":"fig1","placements":["DDA"]}`, "slots"},
+		{"repeated placement", `{"workload":"tableI","placements":["DDA","DDA","AAA"]}`, "twice"},
 		{"unknown field", `{"workload":"tableI","bogus":1}`, "bogus"},
 		{"trailing garbage", `{"workload":"tableI"} {"again":true}`, "trailing"},
 		{"empty program", `{"program":{"tasks":[]}}`, "no tasks"},
