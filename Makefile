@@ -36,9 +36,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/metricslint .
 
-# Runs each wire-format fuzzer for FUZZTIME on top of the committed seed
-# corpus: spec parsing, result decoding, suite-request decoding, WAL frame
-# decoding and sketch decoding must never panic and must stay canonical.
+# Runs each fuzzer for FUZZTIME on top of the committed seed corpus: spec
+# parsing, result decoding, suite-request decoding, WAL frame decoding and
+# sketch decoding must never panic and must stay canonical, and the batched
+# bootstrap kernel must match the value-space resample on any sample.
 # `go test -fuzz` takes one target per invocation, hence one line per fuzzer.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStudySpec$$' -fuzztime $(FUZZTIME) .
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSuiteRequest$$' -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzBootKernelQuantiles$$' -fuzztime $(FUZZTIME) ./internal/stats
 
 # Runs the engine benchmarks with allocation reporting and emits the
 # machine-readable BENCH_engine.json snapshot. The WinRate old/new sweep

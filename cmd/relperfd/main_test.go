@@ -247,6 +247,14 @@ func TestDaemonSpecSnapshotRestartEvictRecompute(t *testing.T) {
 		}
 		want[fp] = body
 	}
+	// Whether those first reads found their study already done is a race
+	// with the compute; a re-read of a finished study is always a store
+	// hit, so store_hits_total below is live whatever the timing. Re-read
+	// the last study so the LRU order generation 2 relies on is unchanged.
+	last := sr.Fingerprints[len(sr.Fingerprints)-1]
+	if code, body := d1.get(t, "/v1/studies/"+last); code != 200 || !bytes.Equal(body, want[last]) {
+		t.Fatalf("re-GET %s: %d, bytes changed=%v", last, code, !bytes.Equal(body, want[last]))
+	}
 	// The sketch study serves a sketch-mode result document, the exact ones
 	// the pre-sketch schema with no mode marker at all.
 	if b := want[sr.Fingerprints[0]]; !bytes.Contains(b, []byte(`"mode":"sketch"`)) || !bytes.Contains(b, []byte(`"error_bound"`)) {

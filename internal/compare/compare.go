@@ -72,6 +72,11 @@ func (o Outcome) Flip() Outcome { return -o }
 // ErrBadSample is returned when a comparator receives an unusable sample.
 var ErrBadSample = errors.New("compare: sample must contain at least one measurement")
 
+// ErrBadQuantile is returned by the bootstrap comparator when a configured
+// quantile is NaN or outside [0, 1]: such a quantile has no value on any
+// resample, and scoring it would turn every round into a silent loss.
+var ErrBadQuantile = errors.New("compare: quantile must lie in [0, 1]")
+
 // Comparator decides the relative performance of two measurement sets.
 // Implementations may be stochastic (the bootstrap comparator is); Fork is
 // how callers get reproducible, independently seeded clones of one.
@@ -112,8 +117,13 @@ type SortedComparator interface {
 // The hot path runs in index space (stats.BootKernel): each base sample is
 // sorted exactly once, resamples are drawn as counted index multisets on
 // the identical xrand draw sequence as the classic materialize-and-sort
-// kernel, and quantiles are read straight off the sorted base — O(N) per
-// round instead of the insertion sort's O(N²), bit-identical outcomes.
+// kernel, and all configured quantiles of a resample are read off the
+// sorted base in one batched prefix walk (BootKernel.Quantiles) — O(N) per
+// round instead of the insertion sort's O(N²), bit-identical outcomes. The
+// walk needs ascending quantiles, so each call sorts a copy of Quantiles;
+// since a win counts 1 or ½ whatever order the quantiles are visited in,
+// the list's order never changes a result. A quantile that is NaN or
+// outside [0, 1] fails the call with ErrBadQuantile.
 // Kernels are cached across Compare calls (keyed by sample identity), so
 // repeated comparisons of the same measurement sets — cluster repetitions,
 // matrix pre-pass trials, race rounds — sort each sample once, ever. The
@@ -144,6 +154,13 @@ type Bootstrap struct {
 	kernels       map[sampleKey]rawKernel
 	sortedKernels map[*stats.SortedSample]*stats.BootKernel
 	aliasKernels  map[*stats.BootKernel]*stats.BootKernel
+
+	// inline is winRate's scratch for up to four quantiles: the ascending
+	// copy of Quantiles and each side's values per round. It lives in the
+	// comparator itself so a Fork costs no allocation beyond the struct;
+	// longer lists use scratch, grown once and reused.
+	inline  [3 * 4]float64
+	scratch []float64
 }
 
 // rawKernel is a cached kernel plus three probe values from the sample it
@@ -260,11 +277,31 @@ func (c *Bootstrap) aliasKernel(k *stats.BootKernel) *stats.BootKernel {
 
 // winRate is the shared index-space hot loop: per round one index resample
 // per side on the comparator's single RNG stream (a first, then b — the
-// identical draw order of the classic kernel), then every configured
-// quantile read off the sorted bases. Aliased sides get independent twin
-// kernels so a sample compared against itself still draws two independent
-// resamples per round, as the classic kernel did.
-func (c *Bootstrap) winRate(ka, kb *stats.BootKernel) float64 {
+// identical draw order of the classic kernel), then one batched quantile
+// walk per side over the ascending copy of Quantiles. Aliased sides get
+// independent twin kernels so a sample compared against itself still
+// draws two independent resamples per round, as the classic kernel did.
+func (c *Bootstrap) winRate(ka, kb *stats.BootKernel) (float64, error) {
+	qs := c.Quantiles
+	if len(qs) == 0 {
+		qs = DefaultQuantiles
+	}
+	k := len(qs)
+	buf := c.inline[:]
+	if 3*k > len(buf) {
+		if len(c.scratch) < 3*k {
+			c.scratch = make([]float64, 3*k)
+		}
+		buf = c.scratch
+	}
+	sorted, qa, qb := buf[:k], buf[k:2*k], buf[2*k:3*k]
+	for i, q := range qs {
+		if !(q >= 0 && q <= 1) {
+			return 0, fmt.Errorf("%w: %v", ErrBadQuantile, q)
+		}
+		sorted[i] = q
+	}
+	stats.SortSmall(sorted)
 	if ka == kb {
 		kb = c.aliasKernel(ka)
 	}
@@ -272,17 +309,14 @@ func (c *Bootstrap) winRate(ka, kb *stats.BootKernel) float64 {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
-	qs := c.Quantiles
-	if len(qs) == 0 {
-		qs = DefaultQuantiles
-	}
 	var wins float64
 	for r := 0; r < rounds; r++ {
 		ka.Resample(c.rng)
 		kb.Resample(c.rng)
-		for _, q := range qs {
-			va := ka.Quantile(q)
-			vb := kb.Quantile(q)
+		ka.Quantiles(sorted, qa)
+		kb.Quantiles(sorted, qb)
+		for i, va := range qa {
+			vb := qb[i]
 			switch {
 			case va < vb:
 				wins++
@@ -291,7 +325,7 @@ func (c *Bootstrap) winRate(ka, kb *stats.BootKernel) float64 {
 			}
 		}
 	}
-	return wins / float64(rounds*len(qs))
+	return wins / float64(rounds*k), nil
 }
 
 // WinRate runs the bootstrap and returns the aggregate rate at which a beats
@@ -301,7 +335,7 @@ func (c *Bootstrap) WinRate(a, b []float64) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, ErrBadSample
 	}
-	return c.winRate(c.kernelForRaw(a), c.kernelForRaw(b)), nil
+	return c.winRate(c.kernelForRaw(a), c.kernelForRaw(b))
 }
 
 // WinRateSorted is WinRate over pre-sorted views, bit-identical to WinRate
@@ -310,7 +344,7 @@ func (c *Bootstrap) WinRateSorted(a, b *stats.SortedSample) (float64, error) {
 	if a.N() == 0 || b.N() == 0 {
 		return 0, ErrBadSample
 	}
-	return c.winRate(c.kernelForSorted(a), c.kernelForSorted(b)), nil
+	return c.winRate(c.kernelForSorted(a), c.kernelForSorted(b))
 }
 
 // threshold maps a win rate onto the three-way outcome.

@@ -1,8 +1,11 @@
 package compare
 
 import (
+	"errors"
+	"math"
 	"testing"
 
+	"relperf/internal/stats"
 	"relperf/internal/xrand"
 )
 
@@ -140,6 +143,54 @@ func TestBootstrapEmptySample(t *testing.T) {
 	}
 	if _, err := c.Compare([]float64{1}, nil); err != ErrBadSample {
 		t.Fatal("empty b accepted")
+	}
+}
+
+// TestBootstrapBadQuantile: a quantile that is NaN or outside [0, 1] has
+// no value on any resample, so every bootstrap entry point refuses it with
+// ErrBadQuantile instead of scoring each round as a loss (which made
+// identical samples compare Worse in both directions).
+func TestBootstrapBadQuantile(t *testing.T) {
+	same := []float64{1, 2, 3, 4, 5}
+	other := []float64{2, 3, 4, 5, 6}
+	ss, so := stats.NewSortedSample(same), stats.NewSortedSample(other)
+	for _, qs := range [][]float64{
+		{1.5},
+		{-0.1},
+		{math.NaN()},
+		{math.Inf(1)},
+		{0.25, 0.5, 1.0000001},
+		{0.5, math.NaN(), 0.75},
+		{0.1, 0.2, 0.3, 0.4, 2}, // past the inline scratch
+	} {
+		c := NewBootstrap(1)
+		c.Quantiles = qs
+		checks := map[string]func() error{
+			"Compare(a,b)": func() error { _, err := c.Compare(same, other); return err },
+			"Compare(b,a)": func() error { _, err := c.Compare(other, same); return err },
+			"Compare(a,a)": func() error { _, err := c.Compare(same, same); return err },
+			"CompareSorted": func() error {
+				_, err := c.CompareSorted(ss, so)
+				return err
+			},
+			"WinRate":       func() error { _, err := c.WinRate(same, other); return err },
+			"WinRateSorted": func() error { _, err := c.WinRateSorted(ss, so); return err },
+			"Fork.Compare": func() error {
+				_, err := c.Fork(2).Compare(same, other)
+				return err
+			},
+		}
+		for name, check := range checks {
+			if err := check(); !errors.Is(err, ErrBadQuantile) {
+				t.Errorf("Quantiles=%v: %s error = %v, want ErrBadQuantile", qs, name, err)
+			}
+		}
+	}
+	// The closed interval's ends are valid quantiles.
+	c := NewBootstrap(1)
+	c.Quantiles = []float64{0, 1}
+	if o, err := c.Compare(same, same); err != nil || o != Equivalent {
+		t.Fatalf("Quantiles={0,1} on identical samples = %v, %v; want equivalent, nil", o, err)
 	}
 }
 

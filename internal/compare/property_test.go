@@ -1,9 +1,12 @@
 package compare
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"relperf/internal/comparetest"
+	"relperf/internal/stats"
 	"relperf/internal/xrand"
 )
 
@@ -76,6 +79,59 @@ func TestBootstrapWinRateComplementProperty(t *testing.T) {
 		return sum > 0.7 && sum < 1.3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBootstrapQuantileOrderProperty: the win rate depends on the quantile
+// list only as a multiset. A shuffled list, repeats included, gives the
+// same WinRate as the list sorted ascending, bit for bit, through both the
+// raw and the pre-sorted entry points, and the same as the reference
+// kernel reading the quantiles in the configured order.
+func TestBootstrapQuantileOrderProperty(t *testing.T) {
+	rng := xrand.New(205)
+	grid := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
+	f := func(seed uint32) bool {
+		n := rng.Intn(60) + 1
+		a := make([]float64, n)
+		b := make([]float64, n)
+		for i := range a {
+			a[i] = rng.LogNormal(0, 0.2)
+			b[i] = 1.05 * rng.LogNormal(0, 0.2)
+		}
+		qs := make([]float64, rng.Intn(6)+1)
+		for i := range qs {
+			qs[i] = grid[rng.Intn(len(grid))]
+		}
+		ascending := append([]float64(nil), qs...)
+		sort.Float64s(ascending)
+		sa, sb := stats.NewSortedSample(a), stats.NewSortedSample(b)
+		rate := func(qs []float64, sorted bool) float64 {
+			c := NewBootstrap(uint64(seed))
+			c.Quantiles = qs
+			c.Rounds = 20
+			var r float64
+			var err error
+			if sorted {
+				r, err = c.WinRateSorted(sa, sb)
+			} else {
+				r, err = c.WinRate(a, b)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		ref := comparetest.ReferenceWinRate(xrand.New(uint64(seed)), a, b,
+			make([]float64, n), make([]float64, n), qs, 20)
+		for _, sorted := range []bool{false, true} {
+			if rate(qs, sorted) != ref || rate(ascending, sorted) != ref {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,12 +14,16 @@ import (
 // The classic kernel materializes every resample as values and sorts it
 // before reading quantiles — O(N log N) per round at best, O(N²) with the
 // insertion sort that wins at small N, and either way the dominant cost of
-// a study once the PR 3 spec schema opened large-N workloads. The
-// index-space kernel observes that a resample of a fixed base sample is
-// fully described by a multiset of base indices: sort the base once, map
-// each drawn index to its rank in the sorted base, counting-sort the rank
-// multiset in O(N), and read any quantile straight off the sorted base
-// values weighted by the counts.
+// a study once the spec schema admits large-N workloads. The index-space
+// kernel observes that a resample of a fixed base sample is fully
+// described by a multiset of base indices: sort the base once, map each
+// drawn index to its rank in the sorted base, counting-sort the rank
+// multiset in O(N), and read every requested quantile off the sorted base
+// values in one prefix walk over the counts (Quantiles). The walk visits
+// ranks in ascending order, so an ascending quantile list costs one pass
+// that stops at the highest requested rank, however many quantiles it
+// holds. Per round that leaves the N-slot reset, the N draws and at most
+// one walk.
 //
 // Determinism contract: the kernel consumes the exact xrand draw sequence
 // of xrand.Rand.Resample (len(base) Intn(len(base)) calls per resample)
@@ -27,8 +31,8 @@ import (
 // resample — the drawn value for index i is base[i] = Sorted()[rank[i]],
 // so the sorted resample is the same float64 sequence either way, and the
 // quantile interpolation below is the same arithmetic as QuantileSorted.
-// A value-space reference implementation lives in the tests and the
-// benchmark suite to keep this equivalence pinned.
+// A value-space reference implementation lives in the tests, the fuzz
+// target and the benchmark suite to keep this equivalence pinned.
 
 // SortedSample is a base sample sorted exactly once, together with the
 // original-index → sorted-rank permutation that lets index-space resampling
@@ -104,9 +108,7 @@ func (k *BootKernel) Base() *SortedSample { return k.base }
 // incrementing counts[rank] IS the sort.
 func (k *BootKernel) Resample(rng *xrand.Rand) {
 	counts := k.counts
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(counts)
 	rank := k.base.rank
 	n := len(rank)
 	for i := 0; i < n; i++ {
@@ -114,58 +116,57 @@ func (k *BootKernel) Resample(rng *xrand.Rand) {
 	}
 }
 
-// Quantile returns the q-th type-7 quantile of the current resample,
-// bit-identical to QuantileSorted over the value-sorted resample: the two
-// bracketing order statistics are read off the sorted base by a prefix walk
-// over the counts, and the interpolation is the same arithmetic.
-func (k *BootKernel) Quantile(q float64) float64 {
-	n := len(k.counts)
-	if n == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return k.base.values[0]
-	}
-	h := q * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= n {
-		// q == 1: the resample maximum is the highest populated rank.
-		vlo, _ := k.orderStats(n-1, n-1)
-		return vlo
-	}
-	frac := h - float64(lo)
-	vlo, vhi := k.orderStats(lo, hi)
-	return vlo + frac*(vhi-vlo)
-}
-
-// orderStats returns the lo-th and hi-th (0-based, lo <= hi <= lo+1) order
-// statistics of the current resample in one prefix walk over the counts.
-func (k *BootKernel) orderStats(lo, hi int) (vlo, vhi float64) {
-	cum := 0
+// Quantiles fills out[i] with the qs[i]-th type-7 quantile of the current
+// resample, each bit-identical to QuantileSorted over the value-sorted
+// resample. qs must be ascending; entries that are NaN or outside [0, 1]
+// yield NaN (as they do in QuantileSorted) and are skipped by the order
+// check. One prefix walk over the counts serves every quantile: the walk
+// only moves forward, reads each quantile's two bracketing order
+// statistics as it passes them, and stops at the highest requested rank.
+// The interpolation is QuantileSorted's arithmetic, so ties, ±Inf and NaN
+// base values come out exactly as they do there. Call it after Resample;
+// out must be at least as long as qs.
+func (k *BootKernel) Quantiles(qs, out []float64) {
+	counts := k.counts
 	values := k.base.values
-	for r, c := range k.counts {
-		if c == 0 {
+	n := len(counts)
+	r := -1  // rank the walk stands on
+	cum := 0 // draws at ranks <= r
+	prev := 0.0
+	for i, q := range qs {
+		if n == 0 || !(q >= 0 && q <= 1) {
+			out[i] = math.NaN()
 			continue
 		}
-		cum += int(c)
-		if cum > lo {
-			vlo = values[r]
-			if cum > hi {
-				return vlo, vlo
-			}
-			// hi == lo+1 and the lo-th statistic exhausted this rank:
-			// the hi-th is the next populated rank.
-			for r2 := r + 1; r2 < len(k.counts); r2++ {
-				if k.counts[r2] != 0 {
-					return vlo, values[r2]
-				}
-			}
-			return vlo, vlo // unreachable for a full-size resample
+		if q < prev {
+			panic("stats: BootKernel.Quantiles needs ascending quantiles")
 		}
+		prev = q
+		h := q * float64(n-1)
+		lo := int(math.Floor(h))
+		for cum <= lo {
+			r++
+			cum += int(counts[r])
+		}
+		vlo := values[r]
+		if lo+1 >= n {
+			// q == 1 (or N == 1): the resample maximum.
+			out[i] = vlo
+			continue
+		}
+		vhi := vlo
+		if cum <= lo+1 {
+			// The lo-th statistic exhausted rank r: the hi-th is the
+			// next populated rank.
+			r2 := r + 1
+			for counts[r2] == 0 {
+				r2++
+			}
+			vhi = values[r2]
+		}
+		frac := h - float64(lo)
+		out[i] = vlo + frac*(vhi-vlo)
 	}
-	// Unreachable: a resample always holds N draws.
-	return math.NaN(), math.NaN()
 }
 
 // SortSmall sorts xs in place with insertion sort. Performance-measurement

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -47,12 +48,28 @@ func TestSortedSampleValuesAndRanks(t *testing.T) {
 	}
 }
 
+// assertQuantilesMatch fails unless the kernel's batched quantiles of its
+// current resample equal QuantileSorted over sorted, the same resample
+// drawn in value space and sorted, quantile by quantile (NaN matching NaN).
+func assertQuantilesMatch(t *testing.T, k *BootKernel, sorted, qs []float64, ctx string) {
+	t.Helper()
+	got := make([]float64, len(qs))
+	k.Quantiles(qs, got)
+	for i, q := range qs {
+		want := QuantileSorted(sorted, q)
+		if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+			t.Fatalf("%s q=%v: kernel %v != reference %v", ctx, q, got[i], want)
+		}
+	}
+}
+
 // TestBootKernelMatchesValueSpaceResample is the determinism contract of the
 // index-space kernel: for equal generator states, every quantile of the
 // index-space resample is bit-identical to QuantileSorted over the
-// value-space resample (Resample + sort), at every tested N.
+// value-space resample (Resample + sort), at every tested N. Repeated
+// quantiles read the statistics the walk already stands on.
 func TestBootKernelMatchesValueSpaceResample(t *testing.T) {
-	qs := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.99, 1}
+	qs := []float64{0, 0, 0.01, 0.25, 0.5, 0.5, 0.75, 0.99, 1, 1}
 	for _, n := range []int{1, 2, 3, 10, 50, 500, 5000} {
 		xs := lognormalSample(xrand.New(uint64(n)), n)
 		k := NewBootKernel(NewSortedSample(xs))
@@ -67,20 +84,14 @@ func TestBootKernelMatchesValueSpaceResample(t *testing.T) {
 			k.Resample(rngIdx)
 			rngVal.Resample(buf, xs)
 			SortSmall(buf)
-			for _, q := range qs {
-				got := k.Quantile(q)
-				want := QuantileSorted(buf, q)
-				if got != want {
-					t.Fatalf("N=%d round=%d q=%v: kernel %v != reference %v", n, round, q, got, want)
-				}
-			}
+			assertQuantilesMatch(t, k, buf, qs, fmt.Sprintf("N=%d round=%d", n, round))
 		}
 	}
 }
 
 func TestBootKernelTiedValues(t *testing.T) {
 	// Heavy ties exercise the rank assignment and the prefix walk across
-	// multi-count ranks.
+	// multi-count ranks, including several quantiles landing on one rank.
 	xs := []float64{2, 2, 1, 1, 1, 3, 2, 1}
 	k := NewBootKernel(NewSortedSample(xs))
 	rngIdx := xrand.New(9)
@@ -90,11 +101,7 @@ func TestBootKernelTiedValues(t *testing.T) {
 		k.Resample(rngIdx)
 		rngVal.Resample(buf, xs)
 		SortSmall(buf)
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			if got, want := k.Quantile(q), QuantileSorted(buf, q); got != want {
-				t.Fatalf("round=%d q=%v: %v != %v", round, q, got, want)
-			}
-		}
+		assertQuantilesMatch(t, k, buf, []float64{0, 0.25, 0.5, 0.75, 1}, fmt.Sprintf("round=%d", round))
 	}
 }
 
@@ -116,18 +123,36 @@ func TestSortedSampleNaNOrdering(t *testing.T) {
 func TestBootKernelQuantileEdgeCases(t *testing.T) {
 	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
 	k.Resample(xrand.New(1))
-	if !math.IsNaN(k.Quantile(-0.1)) || !math.IsNaN(k.Quantile(1.1)) {
-		t.Fatal("out-of-range q must yield NaN")
+	out := make([]float64, 4)
+	k.Quantiles([]float64{-0.1, 0.5, math.NaN(), 1.1}, out)
+	if !math.IsNaN(out[0]) || math.IsNaN(out[1]) || !math.IsNaN(out[2]) || !math.IsNaN(out[3]) {
+		t.Fatalf("out-of-range and NaN q must yield NaN, in-range q a value: %v", out)
 	}
 	empty := NewBootKernel(NewSortedSample(nil))
-	if !math.IsNaN(empty.Quantile(0.5)) {
+	empty.Resample(xrand.New(1))
+	empty.Quantiles([]float64{0.5}, out)
+	if !math.IsNaN(out[0]) {
 		t.Fatal("empty kernel must yield NaN")
 	}
 	one := NewBootKernel(NewSortedSample([]float64{7}))
 	one.Resample(xrand.New(2))
-	if one.Quantile(0.5) != 7 || one.Quantile(1) != 7 {
-		t.Fatal("single-element kernel must return the element")
+	one.Quantiles([]float64{0, 0.5, 1}, out)
+	if out[0] != 7 || out[1] != 7 || out[2] != 7 {
+		t.Fatalf("single-element kernel must return the element: %v", out[:3])
 	}
+}
+
+// TestBootKernelQuantilesRejectsDescending: the walk only moves forward, so
+// a descending list is a caller bug that must not return wrong values.
+func TestBootKernelQuantilesRejectsDescending(t *testing.T) {
+	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
+	k.Resample(xrand.New(1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("descending quantiles did not panic")
+		}
+	}()
+	k.Quantiles([]float64{0.75, 0.25}, make([]float64, 2))
 }
 
 // TestBootKernelResampleDrawSequence: the kernel must consume exactly the
@@ -153,12 +178,12 @@ func BenchmarkBootKernelResampleQuantiles(b *testing.B) {
 	xs := lognormalSample(xrand.New(1), 500)
 	k := NewBootKernel(NewSortedSample(xs))
 	rng := xrand.New(2)
+	qs := []float64{0.25, 0.5, 0.75}
+	out := make([]float64, len(qs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Resample(rng)
-		for _, q := range []float64{0.25, 0.5, 0.75} {
-			_ = k.Quantile(q)
-		}
+		k.Quantiles(qs, out)
 	}
 }

@@ -13,7 +13,10 @@
 // more than adequate for simulation workloads.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next value.
 // It is used for seeding and for Split; it must never be exposed raw.
@@ -52,19 +55,21 @@ func (r *Rand) Seed(seed uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. The state words
+// live in locals so the function stays within the compiler's inlining
+// budget: every draw (Intn, Float64, and through them the bootstrap
+// resamples and the simulator's noise) runs without a call.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[0]+s[3], 23) + s[0]
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return result
 }
 
@@ -110,23 +115,11 @@ func (r *Rand) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.

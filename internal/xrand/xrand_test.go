@@ -256,19 +256,108 @@ func TestResample(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
+// TestIntnGolden pins Intn's draw stream: the first 64 draws from seed 1 at
+// bounds from the trivial (1) to ones near 2^62, where Lemire's method
+// rejects about a quarter of the raw words. Every bootstrap resample and
+// every golden result rests on this stream, so a change to the generator,
+// the 128-bit product, the rejection threshold or the draw order fails
+// here first.
+func TestIntnGolden(t *testing.T) {
 	cases := []struct {
-		a, b, hi, lo uint64
+		n    int
+		want []int
 	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
+		{1, []int{
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		}},
+		{2, []int{
+			1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0,
+			1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1,
+			1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0,
+			0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+		}},
+		{10, []int{
+			8, 7, 1, 7, 1, 5, 9, 5, 0, 1, 9, 3, 0, 3, 0, 1,
+			5, 4, 9, 6, 2, 7, 1, 4, 2, 6, 1, 9, 6, 7, 5, 6,
+			5, 6, 9, 3, 1, 7, 9, 6, 4, 4, 3, 8, 5, 5, 6, 1,
+			0, 0, 7, 5, 3, 1, 4, 4, 2, 2, 3, 0, 1, 4, 8, 3,
+		}},
+		{1000, []int{
+			811, 747, 100, 746, 184, 590, 986, 523, 96, 134, 920, 343, 72, 394, 89, 156,
+			557, 472, 957, 642, 263, 793, 158, 413, 237, 602, 184, 982, 611, 730, 593, 649,
+			507, 620, 954, 323, 108, 734, 902, 691, 470, 498, 387, 807, 569, 595, 625, 199,
+			84, 59, 745, 568, 311, 155, 434, 489, 220, 260, 395, 82, 174, 461, 844, 361,
+		}},
+		{1<<62 + 1, []int{
+			3742900445501255847, 3445412373808019491, 2723103216895527121,
+			4551153390418986306, 2413834233473203336, 619320757017230085,
+			334032411423510581, 1819681383360238610, 412731718644179502,
+			721023073268673070, 4417504108987972456, 3661405315145154947,
+			731985342058994618, 1906776425930293225, 1096165841901463706,
+			2779758682737176220, 849475202644295002, 4528992516851534373,
+			2818651540366721598, 2737275856115965484, 2995370915952047224,
+			2860734811194109311, 4400745065542856014, 1489868545080688796,
+			499192311486763583, 4162324048332521789, 3190081560466779034,
+			2168988682979553971, 1785614819929594299, 3724016830183469060,
+			2745182808865560720, 2886408336126210850, 387929340435340877,
+			3435885777373448468, 2623926727475972047, 1435456144320332863,
+			715967771256824836, 2257581025203028378, 1015113473234965018,
+			380853290984730096, 804680821862796218, 3892351021824935069,
+			1668827285093744326, 4013740665963821088, 4029619339016362623,
+			3112536242336087633, 754242803138711028, 2526737565343456569,
+			1044909110356293831, 1925352090819649461, 3533229965368243034,
+			1172733513416140371, 2634855892616676423, 967783572972488057,
+			528544413435385982, 4488166844470068695, 633235355302615056,
+			1397685753905166214, 2661751002360976285, 532546451472296937,
+			1129913576422688823, 4122782757489504601, 2483648348234574556,
+			1204664575742614697,
+		}},
+		{3 << 61, []int{
+			5168118560712029236, 5161976863407276176, 1277519383417661917,
+			4084654825343290681, 6826730085628479458, 3620751350209805004,
+			928981135525845128, 6366759041830352475, 501048617135265872,
+			2729522075040357915, 619097577966269253, 3853984691650661148,
+			6626256163481958683, 4442822483484083643, 5492107972717732419,
+			2860164638895439837, 1274212803966442503, 6793488775277301558,
+			5050466919890400596, 4105913784173948225, 4493056373928070835,
+			3509328885630978668, 4291102216791163966, 6601117598314284020,
+			2234802817621033194, 748788467230145374, 5079237022035748695,
+			6243486072498782683, 4785122340700168550, 3253483024469330956,
+			3451485437696058320, 2678422229894391448, 5586025245275203589,
+			3942619438330748784, 4117774213298341080, 4329612504189316274,
+			1380499652093294008, 581894010653011316, 408684744834179332,
+			5153828666060172702, 3935890091213958070, 2153184216480499295,
+			3007618750365087338, 3386371537804542567, 1522670209852447527,
+			2733352115661206675, 571279936477095144, 1207021232794194327,
+			3194734363926101237, 4978882365640370651, 6020610998945731631,
+			6044429008524543933, 4668804363504131449, 3790106348015184853,
+			1567363665534440746, 2888028136229474191, 5299844948052364550,
+			1759100270124210556, 2440497156705695420, 3952283838925014634,
+			1451675359458732086, 792816620153078973, 6732250266705103042,
+			949853032953922584,
+		}},
 	}
 	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+		r := New(1)
+		for i, want := range c.want {
+			if got := r.Intn(c.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", c.n, i, got, want)
+			}
+		}
+		// The last two bounds must actually exercise the rejection branch:
+		// 64 accepted draws then consumed more than 64 raw words.
+		words := 0
+		for probe := New(1); probe.s != r.s; probe.Uint64() {
+			words++
+			if words > 1000 {
+				t.Fatalf("Intn(%d): generator state not reached from seed 1", c.n)
+			}
+		}
+		if rejects := c.n > 1<<62; rejects != (words > len(c.want)) {
+			t.Errorf("Intn(%d) consumed %d words for %d draws", c.n, words, len(c.want))
 		}
 	}
 }
