@@ -177,6 +177,9 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	matrix := testing.Benchmark(benchStudy(0, true))
 	cmpBench := testing.Benchmark(BenchmarkBootstrapCompareAllocs)
 	serve := testing.Benchmark(BenchmarkServerGetStudy)
+	summary := testing.Benchmark(BenchmarkServerStudySummary)
+	index4 := testing.Benchmark(benchServerIndexPage(10_000))
+	index5 := testing.Benchmark(benchServerIndexPage(100_000))
 	sketchAdd := testing.Benchmark(BenchmarkSketchAdd)
 	sketchStudy := testing.Benchmark(benchStudyAt(1000, 10, 256))
 
@@ -190,6 +193,9 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 			record("EngineStudy/sketch", sketchStudy),
 			record("BootstrapCompare", cmpBench),
 			record("ServerGetStudy", serve),
+			record("ServerStudySummary", summary),
+			record("ServerIndexPage/n=10000", index4),
+			record("ServerIndexPage/n=100000", index5),
 			record("SketchAdd", sketchAdd),
 		},
 		SpeedupParallel:           float64(serial.NsPerOp()) / float64(parallel.NsPerOp()),

@@ -70,29 +70,3 @@ func TestStoreMergeEvictsLikePut(t *testing.T) {
 		t.Fatal("LRU entry survived merge-driven eviction")
 	}
 }
-
-func TestStoreIndex(t *testing.T) {
-	s := NewStore(0)
-	mustMerge(t, s, "bb", []byte("2"))
-	mustMerge(t, s, "aa", []byte("1"))
-	s.PutSpec("bb", []byte("{}"))
-	s.PutSpec("cc", []byte("{}"))
-	got := s.Index()
-	want := []IndexEntry{
-		{Fingerprint: "aa", Cached: true},
-		{Fingerprint: "bb", Cached: true, Spec: true},
-		{Fingerprint: "cc", Spec: true},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Index() = %+v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Index()[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Enumeration leaves the serving counters untouched.
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Index() touched counters: %+v", st)
-	}
-}

@@ -470,8 +470,10 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 // per-algorithm quantile digest (selected quantiles, min/max/mean, and
 // the sketch mode's error bound) without shipping the full result
 // document — the dashboard surface sketch mode was built for. Exact-mode
-// studies get a reduced summary computed from the stored samples. Like
-// the full-result GET, an in-flight study blocks until its result lands.
+// studies get a reduced summary computed from the stored samples. The
+// encoded body is built once per cached entry (Store.Summary) and served
+// verbatim after that. Like the full-result GET, an in-flight study blocks
+// until its result lands.
 func (s *Server) handleStudySummary(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	blob, err := s.sched.Result(r.Context(), fp)
@@ -483,12 +485,14 @@ func (s *Server) handleStudySummary(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	sum, err := SummarizeResult(fp, blob)
+	body, err := s.sched.Store().Summary(fp, blob)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, sum)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // writeSSE emits one Server-Sent Event. Data must be newline-free — the
@@ -617,7 +621,8 @@ const (
 // fingerprint the store knows, so an operator can walk a store without
 // knowing any fingerprint up front. The cursor is exclusive — pages resume
 // strictly after it — so a listing never duplicates entries even when
-// studies land between pages.
+// studies land between pages. Store.IndexPage does the work, at
+// O(log n + limit) per page.
 func (s *Server) handleStudyIndex(w http.ResponseWriter, r *http.Request) {
 	limit := defaultIndexLimit
 	if raw := r.URL.Query().Get("limit"); raw != "" {
@@ -631,21 +636,6 @@ func (s *Server) handleStudyIndex(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	cursor := r.URL.Query().Get("cursor")
-	all := s.sched.Store().Index()
-	// First entry strictly after the cursor; the zero cursor starts at the
-	// beginning.
-	start := sort.Search(len(all), func(i int) bool { return all[i].Fingerprint > cursor })
-	end := start + limit
-	if end > len(all) {
-		end = len(all)
-	}
-	resp := studyIndexResponse{Studies: all[start:end]}
-	if resp.Studies == nil {
-		resp.Studies = []IndexEntry{} // an empty page is [], not null
-	}
-	if end < len(all) {
-		resp.NextCursor = all[end-1].Fingerprint
-	}
-	writeJSON(w, http.StatusOK, resp)
+	page, next := s.sched.Store().IndexPage(r.URL.Query().Get("cursor"), limit)
+	writeJSON(w, http.StatusOK, studyIndexResponse{Studies: page, NextCursor: next})
 }

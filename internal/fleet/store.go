@@ -37,14 +37,19 @@ const SnapshotSchema = "relperf/fleet-snapshot/v1"
 // spec (wire JSON) of every study submitted through the spec layer; specs
 // are tiny, never evicted, and are persisted in snapshots — they are the
 // recipes a restarted daemon uses to recompute results the LRU evicted.
+//
+// The read paths a dashboard polls are priced per request, not per store:
+// an index page costs O(log n + limit) against a sorted fingerprint list
+// the store maintains incrementally, and a result's summary is encoded
+// once and kept with its cache entry until that entry is evicted.
 // Safe for concurrent use.
 type Store struct {
 	// writeMu serializes mutators (Merge, PutSpec, snapshot capture)
 	// against each other; mu alone guards visibility. The split is what
 	// keeps the hot serving path off the disk: a journaled mutation holds
 	// writeMu across its append→visible window but releases mu around the
-	// WAL fsync, so Get/Contains/Stats/Index never wait behind I/O — and
-	// SnapshotCut, by taking writeMu, captures a snapshot and a WAL cut
+	// WAL fsync, so Get/Contains/Stats/IndexPage never wait behind I/O —
+	// and SnapshotCut, by taking writeMu, captures a snapshot and a WAL cut
 	// point with no acknowledged record falling between them. Lock order:
 	// writeMu before mu, never the reverse.
 	writeMu  sync.Mutex
@@ -53,6 +58,16 @@ type Store struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	specs    map[string][]byte
+	// index is every fingerprint the store knows (the union of items and
+	// specs) in ascending order, as of the last settleLocked. Fingerprints
+	// that became known since then wait, unsorted, in tail; stale counts
+	// evictions that left a fingerprint with neither a result nor a spec
+	// since then. Mutators only append and count, so recovery stays
+	// O(n log n); the next reader that needs the order settles both in one
+	// sort of the tail and one linear merge.
+	index []string
+	tail  []string
+	stale int
 	// journal, when attached, receives every newly merged result and
 	// newly retained spec — fsync'd before the mutation is visible or
 	// acked, so an acknowledged write survives kill -9.
@@ -65,6 +80,9 @@ type Store struct {
 type storeEntry struct {
 	fp   string
 	blob []byte
+	// summary is the encoded GET /summary body for blob, built on the
+	// first request and dropped with the entry on eviction.
+	summary []byte
 }
 
 // NewStore returns a store holding at most capacity results (<= 0 means
@@ -103,16 +121,64 @@ func (s *Store) Contains(fp string) bool {
 	return ok
 }
 
+// knownLocked reports whether fp has a cached result or a retained spec —
+// membership in the index. The caller holds mu.
+func (s *Store) knownLocked(fp string) bool {
+	if _, ok := s.items[fp]; ok {
+		return true
+	}
+	_, ok := s.specs[fp]
+	return ok
+}
+
 // putLocked inserts a new entry and applies the capacity bound. The caller
 // holds mu and has verified fp is absent.
 func (s *Store) putLocked(fp string, blob []byte) {
+	if !s.knownLocked(fp) {
+		s.tail = append(s.tail, fp)
+	}
 	s.items[fp] = s.ll.PushFront(&storeEntry{fp: fp, blob: blob})
 	for s.capacity > 0 && s.ll.Len() > s.capacity {
 		oldest := s.ll.Back()
 		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*storeEntry).fp)
+		evicted := oldest.Value.(*storeEntry).fp
+		delete(s.items, evicted)
+		if _, ok := s.specs[evicted]; !ok {
+			s.stale++
+		}
 		s.evictions++
 	}
+}
+
+// settleLocked brings index up to date: it sorts the tail and merges it
+// into the sorted list in one linear pass, dropping duplicates and — when
+// an eviction made any — fingerprints the store no longer knows. A
+// fingerprint evicted and re-added before the pass sits in both lists
+// (or twice in the tail); the duplicate check keeps one copy. The caller
+// holds mu.
+func (s *Store) settleLocked() {
+	if len(s.tail) == 0 && s.stale == 0 {
+		return
+	}
+	sort.Strings(s.tail)
+	merged := make([]string, 0, len(s.index)+len(s.tail))
+	i, j := 0, 0
+	for i < len(s.index) || j < len(s.tail) {
+		var fp string
+		if j == len(s.tail) || (i < len(s.index) && s.index[i] <= s.tail[j]) {
+			fp, i = s.index[i], i+1
+		} else {
+			fp, j = s.tail[j], j+1
+		}
+		if n := len(merged); n > 0 && merged[n-1] == fp {
+			continue
+		}
+		if s.stale > 0 && !s.knownLocked(fp) {
+			continue
+		}
+		merged = append(merged, fp)
+	}
+	s.index, s.tail, s.stale = merged, s.tail[:0], 0
 }
 
 // SetWAL attaches a write-ahead journal: from now on every newly merged
@@ -205,31 +271,74 @@ type IndexEntry struct {
 	Spec        bool   `json:"spec"`
 }
 
-// Index enumerates every fingerprint the store knows — the union of cached
-// results and retained specs — sorted lexicographically, so repeated calls
-// over an unchanged store return the identical listing and a cursor taken
-// from one page stays a stable resume point for the next. Enumeration does
-// not touch the hit/miss counters or LRU recency.
-func (s *Store) Index() []IndexEntry {
+// IndexPage returns up to limit entries of the store's enumeration —
+// every fingerprint it knows, the union of cached results and retained
+// specs, in ascending order — starting strictly after cursor (the zero
+// cursor starts at the beginning). next is the last returned fingerprint
+// when more entries follow, or "" on the last page; passing it back as the
+// cursor resumes the walk, and because the order is lexicographic a cursor
+// stays a stable resume point even when studies land between pages. A
+// page costs O(log n + limit) once the index is settled; the first read
+// after mutations also pays the settle. Enumeration does not touch the
+// hit/miss counters or LRU recency. A limit below 1 yields an empty page.
+func (s *Store) IndexPage(cursor string, limit int) (page []IndexEntry, next string) {
 	s.mu.Lock()
-	at := make(map[string]int, len(s.items)+len(s.specs))
-	out := make([]IndexEntry, 0, len(s.items)+len(s.specs))
-	for fp := range s.items {
-		at[fp] = len(out)
-		out = append(out, IndexEntry{Fingerprint: fp, Cached: true})
+	defer s.mu.Unlock()
+	s.settleLocked()
+	start := sort.SearchStrings(s.index, cursor)
+	if start < len(s.index) && s.index[start] == cursor {
+		start++
 	}
-	for fp := range s.specs {
-		if i, ok := at[fp]; ok {
-			out[i].Spec = true
-			continue
+	end := min(start+max(limit, 0), len(s.index))
+	page = make([]IndexEntry, 0, end-start)
+	for _, fp := range s.index[start:end] {
+		_, cached := s.items[fp]
+		_, spec := s.specs[fp]
+		page = append(page, IndexEntry{Fingerprint: fp, Cached: cached, Spec: spec})
+	}
+	if end > start && end < len(s.index) {
+		next = s.index[end-1]
+	}
+	return page, next
+}
+
+// Summary returns the encoded GET /v1/studies/{fp}/summary body (see
+// encodeSummary) for blob, the result the caller already holds for fp.
+// While fp stays cached the body is built once, kept with its entry and
+// returned verbatim afterwards; an entry evicted and merged again builds
+// it afresh. If fp is no longer cached the body is built from blob and not
+// kept. The encoding runs with mu released, so a cold summary never stalls
+// other readers. The returned slice is shared — callers must not mutate
+// it. Like Contains, Summary leaves the counters and LRU recency alone:
+// the caller's Get already counted the read.
+func (s *Store) Summary(fp string, blob []byte) ([]byte, error) {
+	s.mu.Lock()
+	el, ok := s.items[fp]
+	if ok {
+		e := el.Value.(*storeEntry)
+		if e.summary != nil {
+			s.mu.Unlock()
+			return e.summary, nil
 		}
-		out = append(out, IndexEntry{Fingerprint: fp, Spec: true})
+		blob = e.blob
 	}
 	s.mu.Unlock()
-	// Sorting dominates on a large store; do it off the mutex so an
-	// enumeration never stalls Get/Merge for the O(n log n) part.
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
-	return out
+	body, err := encodeSummary(fp, blob)
+	if err != nil || !ok {
+		return body, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Keep the body only on the entry it was built from: if fp was evicted
+	// (and perhaps merged again) meanwhile, that entry is gone with it.
+	if cur, ok := s.items[fp]; ok && cur == el {
+		e := el.Value.(*storeEntry)
+		if e.summary == nil {
+			e.summary = body
+		}
+		return e.summary, nil
+	}
+	return body, nil
 }
 
 // PutSpec retains the declarative wire spec of a study under its
@@ -258,6 +367,9 @@ func (s *Store) PutSpec(fp string, spec []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.knownLocked(fp) {
+		s.tail = append(s.tail, fp)
+	}
 	s.specs[fp] = spec
 	return nil
 }
@@ -315,27 +427,27 @@ type snapshotSpec struct {
 	Spec        json.RawMessage `json:"spec"`
 }
 
-// captureLocked builds the snapshot document off the live state. The
-// caller holds mu; the blobs and specs it references are shared immutable
-// slices, so encoding may happen after the lock is released.
+// captureLocked builds the snapshot document off the live state, specs in
+// fingerprint order straight off the settled index. The caller holds mu;
+// the blobs and specs it references are shared immutable slices, so
+// encoding may happen after the lock is released.
 func (s *Store) captureLocked(seed uint64) *snapshot {
 	snap := &snapshot{Schema: SnapshotSchema, Seed: seed}
 	for el := s.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*storeEntry)
 		snap.Entries = append(snap.Entries, snapshotEntry{Fingerprint: e.fp, Result: e.blob})
 	}
-	for fp, spec := range s.specs {
-		snap.Specs = append(snap.Specs, snapshotSpec{Fingerprint: fp, Spec: spec})
+	s.settleLocked()
+	for _, fp := range s.index {
+		if spec, ok := s.specs[fp]; ok {
+			snap.Specs = append(snap.Specs, snapshotSpec{Fingerprint: fp, Spec: spec})
+		}
 	}
 	return snap
 }
 
-// encodeSnapshot serializes a captured snapshot (specs sorted, so equal
-// stores write byte-identical snapshots).
+// encodeSnapshot serializes a captured snapshot.
 func encodeSnapshot(snap *snapshot) ([]byte, error) {
-	sort.Slice(snap.Specs, func(i, j int) bool {
-		return snap.Specs[i].Fingerprint < snap.Specs[j].Fingerprint
-	})
 	b, err := json.Marshal(snap)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -108,4 +110,20 @@ func SummarizeResult(fp string, blob []byte) (*StudySummary, error) {
 		sum.Algorithms = []AlgorithmSummary{}
 	}
 	return sum, nil
+}
+
+// encodeSummary is the complete GET /v1/studies/{fp}/summary body for a
+// stored result: SummarizeResult encoded exactly as writeJSON would write
+// it, trailing newline included, so Store.Summary can keep it and the
+// handler can serve it verbatim.
+func encodeSummary(fp string, blob []byte) ([]byte, error) {
+	sum, err := SummarizeResult(fp, blob)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(sum); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
