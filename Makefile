@@ -7,7 +7,7 @@ GO ?= go
 # serve flags; override like `make serve SERVE_ADDR=:9000 SERVE_SEED=7`.
 SERVE_ADDR ?= :8077
 SERVE_SEED ?= 1
-SERVE_SNAPSHOT ?= relperfd.snapshot.json
+SERVE_SNAPSHOT ?= relperfd.checkpoint
 SERVE_WAL ?= relperfd.wal
 
 # Per-fuzzer budget of `make fuzz`; CI smoke uses a short one, local deep
@@ -37,7 +37,8 @@ vet:
 	$(GO) run ./cmd/metricslint .
 
 # Runs each fuzzer for FUZZTIME on top of the committed seed corpus: spec
-# parsing, result decoding, suite-request decoding, WAL frame decoding and
+# parsing, result decoding, suite-request decoding, WAL frame decoding (and
+# the strict checkpoint reader against the recovering one) and
 # sketch decoding must never panic and must stay canonical, and the batched
 # bootstrap kernel must match the value-space resample on any sample.
 # `go test -fuzz` takes one target per invocation, hence one line per fuzzer.
@@ -65,7 +66,7 @@ bench-check:
 
 # Launches the relperfd serving daemon preloaded with the example suite in
 # its durable configuration: results are journaled to $(SERVE_WAL) and
-# compacted into $(SERVE_SNAPSHOT), so restarts serve warm.
+# compacted into the checkpoint $(SERVE_SNAPSHOT), so restarts serve warm.
 serve:
 	$(GO) run ./cmd/relperfd -addr $(SERVE_ADDR) -seed $(SERVE_SEED) \
 		-wal $(SERVE_WAL) -snapshot $(SERVE_SNAPSHOT) -suite examples/suite.json

@@ -3,7 +3,7 @@
 // config fingerprint and serves them over HTTP.
 //
 //	relperfd -addr :8077 -seed 1 -workers 0 -suite examples/suite.json \
-//	         -wal relperfd.wal -snapshot relperfd.snapshot.json
+//	         -wal relperfd.wal -snapshot relperfd.checkpoint
 //
 // -pprof addr (off by default) additionally serves net/http/pprof on its
 // own listener, kept separate from the serving address so profiling is
@@ -20,7 +20,7 @@
 //	GET  /v1/studies/{fp}/summary     per-algorithm quantile summary
 //	GET  /v1/trace/{fingerprint}      study timeline (on a coordinator:
 //	                                  merged coordinator + worker spans)
-//	POST /v1/replica/snapshot         absorb a pushed snapshot (standby)
+//	POST /v1/replica/snapshot         absorb a pushed checkpoint (standby)
 //	POST /v1/grid/workers             worker heartbeat   (-coordinator)
 //	GET  /v1/grid/workers             worker + dispatch state (-coordinator)
 //	GET  /v1/grid/tasks               dispatch journal (-coordinator;
@@ -36,7 +36,7 @@
 //
 // Determinism contract: for a fixed -seed, a study's response bytes are
 // identical whatever the worker budget, whether the result was computed,
-// cached or restored from a snapshot, whichever suite submitted it — and,
+// cached or restored from a checkpoint, whichever suite submitted it — and,
 // in grid mode, whichever worker computed it, at any worker count, across
 // worker deaths, retries and local fallback.
 //
@@ -45,15 +45,17 @@
 // mode is -wal and -snapshot together: every control-plane event — spec
 // retained, result merged, task dispatched — is appended to a checksummed,
 // fsync'd write-ahead log before it is acked, so a `kill -9` at any
-// instant loses nothing acknowledged; startup replays the log on top of
-// the last snapshot (truncating a torn tail loudly), and every
-// -snapshot-interval (and at shutdown) the store is written to the
-// snapshot and the log compacted to the records the snapshot missed, so
-// both files stay bounded by the store. -standby pushes each compacted
-// snapshot to standby daemons over POST /v1/replica/snapshot, so a
-// promoted standby serves warm, byte-identical results with zero
-// recomputation. Any other combination of these flags is refused at
-// startup.
+// instant loses nothing acknowledged. Every -snapshot-interval (and at
+// shutdown) the store is written to the -snapshot file as a checkpoint —
+// a compacted log in the WAL's own frame format — and the log is
+// compacted to the records the checkpoint missed, so both files stay
+// bounded by the store. Startup reads the checkpoint, then the log tail
+// (truncating a torn tail loudly), and restores every record through one
+// validator: a corrupt checkpoint, or a record that fails validation,
+// stops the daemon before it serves. -standby pushes each checkpoint to
+// standby daemons over POST /v1/replica/snapshot, so a promoted standby
+// serves warm, byte-identical results with zero recomputation. Any other
+// combination of these flags is refused at startup.
 package main
 
 import (
@@ -122,7 +124,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "global worker budget shared by all studies (0 = GOMAXPROCS)")
 	fs.Uint64Var(&o.seed, "seed", 1, "suite seed; equal seeds serve bit-identical results")
 	fs.IntVar(&o.cacheCap, "cache", 0, "max cached studies, LRU-evicted (0 = unbounded)")
-	fs.StringVar(&o.snapshotPath, "snapshot", "", "snapshot file (durable mode, with -wal): loaded at startup, rewritten every -snapshot-interval and at shutdown")
+	fs.StringVar(&o.snapshotPath, "snapshot", "", "checkpoint file (durable mode, with -wal): loaded at startup, rewritten every -snapshot-interval and at shutdown")
 	fs.StringVar(&o.suitePath, "suite", "", "suite spec JSON to submit at startup (warms the cache)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "optional net/http/pprof listen address (e.g. localhost:6060); off when empty")
 	fs.Int64Var(&o.maxStudyCost, "max-study-cost", 0, "admission bound on a study's estimated cost (placements × measurements × reps); 0 = unbounded")
@@ -132,11 +134,11 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.gridTTL, "grid-ttl", 0, "coordinator: expire workers silent for this long (default 15s)")
 	fs.DurationVar(&o.gridReqTimeout, "grid-request-timeout", 0, "coordinator: cap one remote dispatch attempt end to end; a paused or wedged worker fails over after this long (default 10m)")
 	fs.DurationVar(&o.gridHBTimeout, "grid-heartbeat-timeout", grid.DefaultHeartbeatTimeout, "worker: cap one heartbeat request to the coordinator")
-	fs.DurationVar(&o.replicaTimeout, "replica-timeout", 0, "cap one snapshot push to a standby (0 = no timeout)")
+	fs.DurationVar(&o.replicaTimeout, "replica-timeout", 0, "cap one checkpoint push to a standby (0 = no timeout)")
 	fs.DurationVar(&o.shutdownTimeout, "shutdown-timeout", 5*time.Second, "max wait for in-flight requests at shutdown before closing their connections")
-	fs.StringVar(&o.walPath, "wal", "", "write-ahead log file (durable mode, with -snapshot): control-plane events are fsync'd here before being acked, and replayed over the snapshot at startup")
-	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", defaultSnapshotInterval, "durable mode: write the snapshot and compact the WAL every interval (> 0)")
-	fs.StringVar(&o.standbys, "standby", "", "durable mode: comma-separated standby base URLs; each compacted snapshot is pushed to their POST /v1/replica/snapshot")
+	fs.StringVar(&o.walPath, "wal", "", "write-ahead log file (durable mode, with -snapshot): control-plane events are fsync'd here before being acked, and replayed over the checkpoint at startup")
+	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", defaultSnapshotInterval, "durable mode: write the checkpoint and compact the WAL every interval (> 0)")
+	fs.StringVar(&o.standbys, "standby", "", "durable mode: comma-separated standby base URLs; each checkpoint is pushed to their POST /v1/replica/snapshot")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
 	fs.IntVar(&o.mutexFraction, "mutex-profile-fraction", 0, "with -pprof: runtime.SetMutexProfileFraction rate — sample 1/n mutex contention events (0 = off)")
 	fs.IntVar(&o.blockRate, "block-profile-rate", 0, "with -pprof: runtime.SetBlockProfileRate threshold in ns — sample goroutine blocking events (0 = off)")
@@ -300,12 +302,14 @@ func run(o options) error {
 	// the package defaults).
 	obsv := &obs.Obs{Registry: obs.NewRegistry(), Tracer: obs.NewTracer(o.traceStudies, o.traceSpans)}
 
-	// Durable state is recovered in layers: the snapshot is the compacted
+	// Durable state is recovered in layers: the checkpoint is the compacted
 	// base, the WAL is the fsync'd tail on top of it. The WAL opens first
 	// (it validates its seed header and truncates any torn tail), but its
-	// records replay only after the snapshot loads — replay order is what
-	// makes "snapshot then compact" crash-safe, since replaying a record
-	// the snapshot already holds is an idempotent no-op merge.
+	// records replay only after the checkpoint's — replay order is what
+	// makes "checkpoint then compact" crash-safe, since replaying a record
+	// the checkpoint already holds is an idempotent no-op merge. Both go
+	// through the same validator (fleet.ReplayWAL), and the checkpoint's
+	// task records come before the tail's.
 	store := fleet.NewStore(o.cacheCap)
 	var walLog *wal.Log
 	var taskRecs []wal.Record
@@ -317,12 +321,17 @@ func run(o options) error {
 		}
 		defer walLog.Close()
 		if f, err := os.Open(o.snapshotPath); err == nil {
-			n, err := store.LoadSnapshot(f, o.seed)
+			recs, err := fleet.ReadCheckpoint(f, o.seed)
 			f.Close()
 			if err != nil {
-				return fmt.Errorf("loading snapshot %s: %w", o.snapshotPath, err)
+				return fmt.Errorf("loading checkpoint %s: %w", o.snapshotPath, err)
 			}
-			logger.Info("restored snapshot", "studies", n, "path", o.snapshotPath)
+			counts, tasks, err := fleet.ReplayWAL(store, o.seed, recs)
+			if err != nil {
+				return fmt.Errorf("restoring checkpoint %s: %w", o.snapshotPath, err)
+			}
+			taskRecs = tasks
+			logger.Info("restored checkpoint", "path", o.snapshotPath, "specs", counts.Specs, "results", counts.Results, "studies", store.Len(), "tasks", counts.Tasks)
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
@@ -330,7 +339,7 @@ func run(o options) error {
 		if err != nil {
 			return fmt.Errorf("replaying wal %s: %w", o.walPath, err)
 		}
-		taskRecs = tasks
+		taskRecs = append(taskRecs, tasks...)
 		if counts.Specs+counts.Results+counts.Tasks > 0 {
 			logger.Info("replayed wal", "path", o.walPath, "specs", counts.Specs, "results", counts.Results, "tasks", counts.Tasks)
 		}
@@ -343,7 +352,7 @@ func run(o options) error {
 	if o.coordinator {
 		coord = grid.New(grid.Config{Seed: o.seed, TTL: o.gridTTL, RequestTimeout: o.gridReqTimeout, ScrapeTimeout: o.scrapeTimeout, Logf: logf, Journal: walLog, Obs: obsv})
 		if n := coord.RestoreJournal(taskRecs); n > 0 {
-			logger.Info("restored dispatch journal from wal", "entries", n)
+			logger.Info("restored dispatch journal", "entries", n)
 		}
 		opts.Dispatch = coord.Dispatch
 	}
@@ -371,32 +380,49 @@ func run(o options) error {
 		replicator.Client = &http.Client{Timeout: o.replicaTimeout}
 	}
 
-	// checkpoint compacts the durable state: the snapshot bytes and a WAL
+	// checkpoint compacts the durable state: the checkpoint bytes and a WAL
 	// cut point are captured atomically with respect to journaled
-	// mutations (Store.SnapshotCut), the snapshot is written atomically,
+	// mutations (Store.SnapshotCut), the checkpoint is written atomically,
 	// and only then is the WAL compacted to the cut — a result acked
 	// between the capture and the compaction sits above the cut and
 	// survives in the log, so compaction can never silently drop an
-	// acknowledged write the snapshot missed. Then the snapshot is pushed
-	// to the standbys. Serialized: overlapping checkpoints would race the
-	// snapshot-write/WAL-compact ordering that makes this crash-safe.
+	// acknowledged write the checkpoint missed. Then the same bytes are
+	// pushed to the standbys. Serialized: overlapping checkpoints would
+	// race the write/compact ordering that makes this crash-safe.
+	//
+	// A coordinator's dispatch journal rides along as task frames after the
+	// store's records. It is captured before SnapshotCut reads the cut, so
+	// a task record is either in the checkpoint or above the cut, never
+	// restored twice — but one appended inside that capture window is in
+	// neither and is lost (it is observability, not state). A crash between
+	// the checkpoint write and the compaction restores the task records
+	// both files then hold twice.
 	var checkpointMu sync.Mutex
 	checkpoint := func(reason string) {
 		checkpointMu.Lock()
 		defer checkpointMu.Unlock()
+		var tasks []wal.Record
+		if coord != nil {
+			tasks = coord.JournalRecords()
+		}
 		data, cut, err := store.SnapshotCut(o.seed)
+		for _, rec := range tasks {
+			if err == nil {
+				data, err = wal.AppendRecord(data, rec)
+			}
+		}
 		if err != nil {
-			logger.Error("snapshot failed", "reason", reason, "err", err)
+			logger.Error("checkpoint failed", "reason", reason, "err", err)
 			return
 		}
 		if err := fleet.WriteSnapshotBytesAtomic(data, o.snapshotPath); err != nil {
-			logger.Error("snapshot failed", "reason", reason, "err", err)
+			logger.Error("checkpoint failed", "reason", reason, "err", err)
 			return // the WAL still holds the tail; never compact it now
 		}
 		if err := walLog.CompactTo(cut, o.seed); err != nil {
 			logger.Error("wal compaction failed", "reason", reason, "err", err)
 		}
-		if err := replicator.Push(context.Background(), store, o.seed); err != nil {
+		if err := replicator.Push(context.Background(), data); err != nil {
 			logger.Error("replication failed", "reason", reason, "err", err)
 		}
 	}
@@ -412,7 +438,7 @@ func run(o options) error {
 			return err
 		}
 		// SubmitSpecs retains each spec in the store, so the startup suite
-		// is recomputable from the snapshot after future restarts.
+		// is recomputable from the checkpoint after future restarts.
 		fps, err := sched.SubmitSpecs(req.Studies)
 		if err != nil {
 			return err
@@ -460,7 +486,7 @@ func run(o options) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Periodic compaction: snapshot + WAL compaction + standby push on a
+	// Periodic compaction: checkpoint + WAL compaction + standby push on a
 	// timer, so neither file outgrows the store between restarts.
 	if durable {
 		go func() {

@@ -52,8 +52,8 @@ func TestE2EDeclarativeSpecLifecycle(t *testing.T) {
 		}
 		want[fp] = body
 	}
-	var snap bytes.Buffer
-	if err := store1.WriteSnapshot(&snap, seed); err != nil {
+	snap, _, err := store1.SnapshotCut(seed)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
@@ -63,7 +63,7 @@ func TestE2EDeclarativeSpecLifecycle(t *testing.T) {
 	// LRU eviction during load drops one of the two results, keeping only
 	// the most recently used. Both specs survive (specs are not evicted).
 	store2 := NewStore(1)
-	retained, err := store2.LoadSnapshot(bytes.NewReader(snap.Bytes()), seed)
+	retained, err := store2.LoadSnapshot(bytes.NewReader(snap), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

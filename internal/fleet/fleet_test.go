@@ -261,14 +261,14 @@ func TestSchedulerSubmitAndResult(t *testing.T) {
 func TestSchedulerRestartFromSnapshot(t *testing.T) {
 	s1 := New(Options{Workers: 2, Seed: 9})
 	fp, want := submitAndWait(t, s1, testSpec(t, 8))
-	var snap bytes.Buffer
-	if err := s1.Store().WriteSnapshot(&snap, s1.Seed()); err != nil {
+	snap, _, err := s1.Store().SnapshotCut(s1.Seed())
+	if err != nil {
 		t.Fatal(err)
 	}
 	s1.Close()
 
 	store := NewStore(0)
-	if _, err := store.LoadSnapshot(bytes.NewReader(snap.Bytes()), 9); err != nil {
+	if _, err := store.LoadSnapshot(bytes.NewReader(snap), 9); err != nil {
 		t.Fatal(err)
 	}
 	s2 := New(Options{Workers: 4, Seed: 9, Store: store})

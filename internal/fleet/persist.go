@@ -13,11 +13,11 @@ import (
 	"relperf/internal/faultpoint"
 )
 
-// WriteSnapshotBytesAtomic persists pre-serialized snapshot bytes at path
+// WriteSnapshotBytesAtomic persists checkpoint bytes (SnapshotCut) at path
 // with full crash safety: the bytes are written to a sibling .tmp file,
 // fsync'd, renamed into place, and the parent directory is fsync'd after
 // the rename — without the directory sync a crash right after os.Rename
-// can still resurface the old snapshot (or none at all) when the
+// can still resurface the old checkpoint (or none at all) when the
 // directory entry was never made durable. Every failure path removes the
 // .tmp file. The snapshot.* faultpoints fire here. Taking bytes rather
 // than the store lets a checkpoint capture state and a WAL cut point
@@ -30,7 +30,7 @@ func WriteSnapshotBytesAtomic(data []byte, path string) (err error) {
 		return err
 	}
 	// One cleanup for every failure exit: close if still open, remove the
-	// temp file so a failed snapshot never litters (or worse, gets
+	// temp file so a failed checkpoint never litters (or worse, gets
 	// mistaken for a fresh one by an operator).
 	closed := false
 	defer func() {
@@ -65,20 +65,20 @@ func WriteSnapshotBytesAtomic(data []byte, path string) (err error) {
 	}
 	d, err := os.Open(filepath.Dir(path))
 	if err != nil {
-		return fmt.Errorf("fleet: opening snapshot directory: %w", err)
+		return fmt.Errorf("fleet: opening checkpoint directory: %w", err)
 	}
 	defer d.Close()
 	if err = d.Sync(); err != nil {
-		return fmt.Errorf("fleet: syncing snapshot directory: %w", err)
+		return fmt.Errorf("fleet: syncing checkpoint directory: %w", err)
 	}
 	return nil
 }
 
-// Replicator pushes store snapshots to standby coordinators over their
-// POST /v1/replica/snapshot endpoint. Store.Merge makes replica
-// convergence safe (identical bytes merge idempotently, divergent bytes
-// refuse loudly), so a standby that absorbed the pushes serves warm and
-// byte-identical after failover, with zero recomputation.
+// Replicator pushes checkpoints to standby daemons over their
+// POST /v1/replica/snapshot endpoint. Store.MergeSnapshot makes that safe
+// (validate all, then merge: identical bytes are idempotent, divergent
+// bytes refuse loudly), so a failed-over standby serves warm and
+// byte-identical, with zero recomputation.
 type Replicator struct {
 	// URLs are the standby base URLs (e.g. http://standby:8077).
 	URLs []string
@@ -88,50 +88,41 @@ type Replicator struct {
 	Logf func(format string, args ...any)
 }
 
-func (r *Replicator) logf(format string, args ...any) {
-	if r.Logf != nil {
-		r.Logf(format, args...)
-	}
-}
-
-// Push marshals one snapshot of the store and posts it to every standby.
-// A failed standby is logged and does not stop the others; the joined
-// error reports every failure so the caller can count a degraded
-// replication round. The replica.push faultpoint fires once per standby.
-func (r *Replicator) Push(ctx context.Context, store *Store, seed uint64) error {
-	if len(r.URLs) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, seed); err != nil {
-		return fmt.Errorf("fleet: encoding replica snapshot: %w", err)
-	}
-	client := r.Client
+// Push posts one checkpoint — the bytes SnapshotCut produced and the
+// daemon just wrote — to every standby. A failed standby is logged and
+// does not stop the others; the joined error reports every failure so the
+// caller can count a degraded replication round. The replica.push
+// faultpoint fires once per standby.
+func (r *Replicator) Push(ctx context.Context, checkpoint []byte) error {
+	client, logf := r.Client, r.Logf
 	if client == nil {
 		client = http.DefaultClient
 	}
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	var errs []error
 	for _, url := range r.URLs {
-		if err := pushOne(ctx, client, url, buf.Bytes()); err != nil {
-			r.logf("fleet: replica push to %s failed: %v (standby will catch up on the next push)", url, err)
+		if err := pushOne(ctx, client, url, checkpoint); err != nil {
+			logf("fleet: replica push to %s failed: %v (standby will catch up on the next push)", url, err)
 			errs = append(errs, fmt.Errorf("%s: %w", url, err))
 			continue
 		}
-		r.logf("fleet: replicated snapshot to %s (%d bytes)", url, buf.Len())
+		logf("fleet: replicated checkpoint to %s (%d bytes)", url, len(checkpoint))
 	}
 	return errors.Join(errs...)
 }
 
-// pushOne posts one snapshot to one standby.
-func pushOne(ctx context.Context, client *http.Client, url string, snapshot []byte) error {
+// pushOne posts one checkpoint to one standby.
+func pushOne(ctx context.Context, client *http.Client, url string, checkpoint []byte) error {
 	if err := faultpoint.Hit("replica.push"); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/replica/snapshot", bytes.NewReader(snapshot))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/replica/snapshot", bytes.NewReader(checkpoint))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := client.Do(req)
 	if err != nil {
 		return err

@@ -3,7 +3,8 @@ package fleet
 // Crash-recovery properties of the WAL-backed store: journaled state
 // replays to the identical bytes, a journal that refuses an append
 // refuses the mutation with it, replay rejects records whose identity no
-// longer checks out, and the replication surfaces (MergeSnapshot, the
+// longer checks out, every kind of checkpoint damage is refused with the
+// record named, and the replication surfaces (MergeSnapshot, the
 // /v1/replica/snapshot handler, WriteSnapshotBytesAtomic, Replicator.Push)
 // hold the never-overwrite and never-litter contracts under injected
 // faults.
@@ -11,12 +12,14 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -201,43 +204,173 @@ func TestReplayWALRejectsForeignIdentity(t *testing.T) {
 // seeds — the exact contract a standby needs to stay byte-identical.
 func TestMergeSnapshotSemantics(t *testing.T) {
 	const seed = 11
+	st := realStudies(t, 3)
 	src := NewStore(0)
-	mustMerge(t, src, "aa", []byte(`{"a":1}`))
-	mustMerge(t, src, "bb", []byte(`{"b":2}`))
-	if err := src.PutSpec("aa", []byte(`{"workload":"tableI"}`)); err != nil {
+	mustMerge(t, src, st[0].fp, st[0].blob)
+	mustMerge(t, src, st[1].fp, st[1].blob)
+	if err := src.PutSpec(st[0].fp, st[0].spec); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap, seed); err != nil {
+	snap, _, err := src.SnapshotCut(seed)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	dst := NewStore(0)
-	if n, err := dst.MergeSnapshot(bytes.NewReader(snap.Bytes()), seed); err != nil || n != 2 {
+	if n, err := dst.MergeSnapshot(bytes.NewReader(snap), seed); err != nil || n != 2 {
 		t.Fatalf("first merge = (%d, %v), want (2, nil)", n, err)
 	}
-	if n, err := dst.MergeSnapshot(bytes.NewReader(snap.Bytes()), seed); err != nil || n != 2 {
+	if n, err := dst.MergeSnapshot(bytes.NewReader(snap), seed); err != nil || n != 2 {
 		t.Fatalf("idempotent re-merge = (%d, %v), want (2, nil)", n, err)
 	}
-	if got, _ := dst.Get("aa"); !bytes.Equal(got, []byte(`{"a":1}`)) {
+	if got, _ := dst.Get(st[0].fp); !bytes.Equal(got, st[0].blob) {
 		t.Fatalf("merged bytes = %s", got)
 	}
-	if _, ok := dst.Spec("aa"); !ok {
+	if _, ok := dst.Spec(st[0].fp); !ok {
 		t.Fatal("merge dropped the spec")
 	}
-	if _, err := dst.MergeSnapshot(bytes.NewReader(snap.Bytes()), seed+1); !errors.Is(err, ErrSeedMismatch) {
-		t.Fatalf("foreign-seed merge = %v, want ErrSeedMismatch", err)
+	if _, err := dst.MergeSnapshot(bytes.NewReader(snap), seed+1); !errors.Is(err, wal.ErrSeedMismatch) {
+		t.Fatalf("foreign-seed merge = %v, want wal.ErrSeedMismatch", err)
 	}
 	conflicted := NewStore(0)
-	mustMerge(t, conflicted, "aa", []byte(`{"a":999}`))
-	if _, err := conflicted.MergeSnapshot(bytes.NewReader(snap.Bytes()), seed); !errors.Is(err, ErrMergeConflict) {
+	mustMerge(t, conflicted, st[0].fp, st[2].blob)
+	if _, err := conflicted.MergeSnapshot(bytes.NewReader(snap), seed); !errors.Is(err, ErrMergeConflict) {
 		t.Fatalf("divergent merge = %v, want ErrMergeConflict", err)
+	}
+}
+
+// corruptions builds, from a clean checkpoint of real studies, one
+// checkpoint per kind of damage that must fail recovery loudly, each with
+// the record its error must name (index, fingerprint, byte offset); the
+// v1 JSON snapshot names no record (index -2), only its schema.
+type corruption struct {
+	name  string
+	data  []byte
+	index int
+	fp    string
+	off   int64
+}
+
+func corruptions(t *testing.T, clean []byte, seed uint64) []corruption {
+	t.Helper()
+	recs, err := wal.Read(bytes.NewReader(clean), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// reframe re-encodes every record, with fresh CRCs, after edit.
+	reframe := func(edit func(recs []wal.Record)) []byte {
+		cp := append([]wal.Record(nil), recs...)
+		edit(cp)
+		b := wal.AppendHeader(nil, seed)
+		for _, rec := range cp {
+			if b, err = wal.AppendRecord(b, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	spec, res := -1, -1
+	for i, rec := range recs {
+		if rec.Type == wal.TypeSpec && spec < 0 {
+			spec = i
+		}
+		if rec.Type == wal.TypeResult {
+			res = i // the last result: its frame ends the file
+		}
+	}
+	if spec < 0 || res < 0 {
+		t.Fatalf("checkpoint holds no spec or no result: %+v", recs)
+	}
+
+	// A one-digit flip inside the last result's data, CRC untouched.
+	flip := append([]byte(nil), clean...)
+	start := int(recs[res].Offset) + bytes.Index(clean[recs[res].Offset:], []byte(`"data":`))
+	i := start + bytes.IndexAny(flip[start:], "123456789")
+	flip[i] = '0' + (flip[i]-'0'+1)%10
+
+	// A spec whose body no longer resolves to its fingerprint.
+	other := recs[spec].Fingerprint
+	for _, rec := range recs {
+		if rec.Type == wal.TypeSpec && rec.Fingerprint != other {
+			other = rec.Fingerprint
+			break
+		}
+	}
+	if other == recs[spec].Fingerprint {
+		t.Fatal("checkpoint holds only one spec")
+	}
+	rekey := reframe(func(cp []wal.Record) { cp[spec].Fingerprint = other })
+	notResult := reframe(func(cp []wal.Record) { cp[res].Data = json.RawMessage(`{"not":"a result"}`) })
+
+	return []corruption{
+		{"digit-flip", flip, res, recs[res].Fingerprint, recs[res].Offset},
+		{"spec-rekey", rekey, spec, other, recs[spec].Offset},
+		{"not-a-result", notResult, res, recs[res].Fingerprint, recs[res].Offset},
+		{"truncated", clean[:len(clean)-5], res, recs[res].Fingerprint, recs[res].Offset},
+		{"v1-json", []byte(`{"schema":"relperf/fleet-snapshot/v1","seed":11,"entries":[]}`), -2, "", 0},
+	}
+}
+
+// wantNamed asserts err is a refusal naming c's record, or for the v1
+// snapshot, its schema.
+func (c corruption) wantNamed(t *testing.T, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s: checkpoint accepted", c.name)
+	}
+	if c.index == -2 {
+		if !strings.Contains(err.Error(), "relperf/fleet-snapshot/v1") {
+			t.Fatalf("%s: %v, want the v1 schema named", c.name, err)
+		}
+		return
+	}
+	var re *wal.RecordError
+	if !errors.As(err, &re) || re.Index != c.index || re.Fingerprint != c.fp || re.Offset != c.off {
+		t.Fatalf("%s: %v, want record %d (%s) at byte offset %d named", c.name, err, c.index, c.fp, c.off)
+	}
+	for _, part := range []string{fmt.Sprintf("record %d", c.index), c.fp, fmt.Sprintf("byte offset %d", c.off)} {
+		if !strings.Contains(err.Error(), part) {
+			t.Fatalf("%s: error %q does not say %q", c.name, err, part)
+		}
+	}
+}
+
+// cleanCheckpoint is a checkpoint of real studies: specs and results.
+func cleanCheckpoint(t *testing.T, seed uint64) []byte {
+	t.Helper()
+	src := NewStore(0)
+	for _, x := range realStudies(t, 3) {
+		if err := src.PutSpec(x.fp, x.spec); err != nil {
+			t.Fatal(err)
+		}
+		mustMerge(t, src, x.fp, x.blob)
+	}
+	snap, _, err := src.SnapshotCut(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestCheckpointCorruptionRefused: every kind of checkpoint damage fails
+// the load with the damaged record named, where before a flipped digit
+// was served after a restart.
+func TestCheckpointCorruptionRefused(t *testing.T) {
+	const seed = 11
+	clean := cleanCheckpoint(t, seed)
+	if _, err := NewStore(0).LoadSnapshot(bytes.NewReader(clean), seed); err != nil {
+		t.Fatalf("clean checkpoint: %v", err)
+	}
+	for _, c := range corruptions(t, clean, seed) {
+		_, err := NewStore(0).LoadSnapshot(bytes.NewReader(c.data), seed)
+		c.wantNamed(t, err)
 	}
 }
 
 // TestReplicaSnapshotEndpoint: the standby's HTTP surface — 200 with the
 // applied count for a clean push, 409 for seed or byte conflicts, 400 for
-// bytes that are not a snapshot.
+// bytes that are not a valid checkpoint. A refused push leaves the store
+// exactly as it was.
 func TestReplicaSnapshotEndpoint(t *testing.T) {
 	const seed = 11
 	sched := New(Options{Workers: 2, Seed: seed})
@@ -245,46 +378,61 @@ func TestReplicaSnapshotEndpoint(t *testing.T) {
 	ts := httptest.NewServer(NewServer(sched))
 	defer ts.Close()
 
+	st := realStudies(t, 2)
 	src := NewStore(0)
-	mustMerge(t, src, "aa", []byte(`{"a":1}`))
-	var snap bytes.Buffer
-	if err := src.WriteSnapshot(&snap, seed); err != nil {
+	mustMerge(t, src, st[0].fp, st[0].blob)
+	snap, _, err := src.SnapshotCut(seed)
+	if err != nil {
 		t.Fatal(err)
 	}
 	post := func(body []byte) *http.Response {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/replica/snapshot", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/replica/snapshot", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp
 	}
-	if resp := post(snap.Bytes()); resp.StatusCode != http.StatusOK {
+	if resp := post(snap); resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean push = %d, want 200", resp.StatusCode)
 	}
-	if got, ok := sched.Store().Get("aa"); !ok || !bytes.Equal(got, []byte(`{"a":1}`)) {
+	if got, ok := sched.Store().Get(st[0].fp); !ok || !bytes.Equal(got, st[0].blob) {
 		t.Fatal("standby did not absorb the pushed result")
 	}
-	var foreign bytes.Buffer
-	if err := src.WriteSnapshot(&foreign, seed+1); err != nil {
+	stats, keys := sched.Store().Stats(), sched.Store().Keys()
+	refused := func(what string, body []byte, code int) {
+		t.Helper()
+		if resp := post(body); resp.StatusCode != code {
+			t.Fatalf("%s push = %d, want %d", what, resp.StatusCode, code)
+		}
+		want := stats
+		if what == "divergent" {
+			want.Conflicts++ // counted, and nothing else changes
+		}
+		if got := sched.Store().Stats(); got != want {
+			t.Fatalf("%s push changed the standby's stats: %+v -> %+v", what, stats, got)
+		}
+		if got := sched.Store().Keys(); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("%s push changed the standby's keys: %v -> %v", what, keys, got)
+		}
+	}
+	for _, c := range corruptions(t, cleanCheckpoint(t, seed), seed) {
+		refused(c.name, c.data, http.StatusBadRequest)
+	}
+	refused("garbage", []byte("not json"), http.StatusBadRequest)
+	foreign, _, err := src.SnapshotCut(seed + 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := post(foreign.Bytes()); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("foreign-seed push = %d, want 409", resp.StatusCode)
-	}
+	refused("foreign-seed", foreign, http.StatusConflict)
 	divergent := NewStore(0)
-	mustMerge(t, divergent, "aa", []byte(`{"a":999}`))
-	var div bytes.Buffer
-	if err := divergent.WriteSnapshot(&div, seed); err != nil {
+	mustMerge(t, divergent, st[0].fp, st[1].blob)
+	div, _, err := divergent.SnapshotCut(seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := post(div.Bytes()); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("divergent push = %d, want 409", resp.StatusCode)
-	}
-	if resp := post([]byte("not json")); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage push = %d, want 400", resp.StatusCode)
-	}
+	refused("divergent", div, http.StatusConflict)
 }
 
 // TestWriteSnapshotBytesAtomicCleansUpUnderFaults: whichever stage fails —
@@ -303,7 +451,8 @@ func TestWriteSnapshotBytesAtomicCleansUpUnderFaults(t *testing.T) {
 		}
 		return WriteSnapshotBytesAtomic(data, path)
 	}
-	mustMerge(t, store, "aa", []byte(`{"a":1}`))
+	st := realStudies(t, 2)
+	mustMerge(t, store, st[0].fp, st[0].blob)
 	if err := writeSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +461,7 @@ func TestWriteSnapshotBytesAtomicCleansUpUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mustMerge(t, store, "bb", []byte(`{"b":2}`))
+	mustMerge(t, store, st[1].fp, st[1].blob)
 	for _, name := range []string{"snapshot.write", "snapshot.sync", "snapshot.rename"} {
 		faultpoint.Arm(name, faultpoint.Error, 1)
 		if err := writeSnapshot(); !errors.Is(err, faultpoint.ErrInjected) {
@@ -359,7 +508,9 @@ func TestSnapshotCutCompactionKeepsLateMerges(t *testing.T) {
 	}
 	store := NewStore(0)
 	store.SetWAL(w)
-	if err := store.Merge("aa", []byte(`{"a":1}`)); err != nil {
+	st := realStudies(t, 2)
+	aa, bb := st[0].fp, st[1].fp
+	if err := store.Merge(aa, st[0].blob); err != nil {
 		t.Fatal(err)
 	}
 	data, cut, err := store.SnapshotCut(seed)
@@ -367,7 +518,7 @@ func TestSnapshotCutCompactionKeepsLateMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The late merge: acked after the capture, before the compaction.
-	if err := store.Merge("bb", []byte(`{"b":2}`)); err != nil {
+	if err := store.Merge(bb, st[1].blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteSnapshotBytesAtomic(data, snapPath); err != nil {
@@ -386,7 +537,7 @@ func TestSnapshotCutCompactionKeepsLateMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Fingerprint != "bb" {
+	if len(recs) != 1 || recs[0].Fingerprint != bb {
 		t.Fatalf("compacted log replays %+v, want exactly the late merge for bb", recs)
 	}
 	recovered := NewStore(0)
@@ -401,7 +552,7 @@ func TestSnapshotCutCompactionKeepsLateMerges(t *testing.T) {
 	if err := recovered.Merge(recs[0].Fingerprint, recs[0].Data); err != nil {
 		t.Fatal(err)
 	}
-	for fp, want := range map[string][]byte{"aa": []byte(`{"a":1}`), "bb": []byte(`{"b":2}`)} {
+	for fp, want := range map[string][]byte{aa: st[0].blob, bb: st[1].blob} {
 		if got, ok := recovered.Get(fp); !ok || !bytes.Equal(got, want) {
 			t.Fatalf("recovered %s = (%s, %v), want %s", fp, got, ok, want)
 		}
@@ -448,6 +599,7 @@ func TestCheckpointRacesMergesLoseNothing(t *testing.T) {
 	}()
 
 	const mergers, perMerger = 4, 40
+	st := realStudies(t, 4)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	acked := make(map[string][]byte)
@@ -457,7 +609,7 @@ func TestCheckpointRacesMergesLoseNothing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perMerger; i++ {
 				fp := fmt.Sprintf("%02x%030x", g, i)
-				blob := []byte(fmt.Sprintf(`{"g":%d,"i":%d}`, g, i))
+				blob := st[(g+i)%len(st)].blob
 				if err := store.Merge(fp, blob); err != nil {
 					t.Errorf("merge %s: %v", fp, err)
 					return
@@ -521,27 +673,36 @@ func TestReplicatorPush(t *testing.T) {
 	ts := httptest.NewServer(NewServer(standby))
 	defer ts.Close()
 
+	st := realStudies(t, 2)
 	src := NewStore(0)
-	mustMerge(t, src, "aa", []byte(`{"a":1}`))
+	cut := func() []byte {
+		t.Helper()
+		data, _, err := src.SnapshotCut(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	mustMerge(t, src, st[0].fp, st[0].blob)
 	rep := &Replicator{URLs: []string{ts.URL}, Logf: t.Logf}
-	if err := rep.Push(context.Background(), src, seed); err != nil {
+	if err := rep.Push(context.Background(), cut()); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := standby.Store().Get("aa"); !ok || !bytes.Equal(got, []byte(`{"a":1}`)) {
+	if got, ok := standby.Store().Get(st[0].fp); !ok || !bytes.Equal(got, st[0].blob) {
 		t.Fatal("standby does not serve the pushed bytes")
 	}
 	// One dead standby degrades the round, not the others.
 	rep2 := &Replicator{URLs: []string{"http://127.0.0.1:1", ts.URL}, Logf: t.Logf}
-	mustMerge(t, src, "bb", []byte(`{"b":2}`))
-	if err := rep2.Push(context.Background(), src, seed); err == nil {
+	mustMerge(t, src, st[1].fp, st[1].blob)
+	if err := rep2.Push(context.Background(), cut()); err == nil {
 		t.Fatal("push with a dead standby reported success")
 	}
-	if _, ok := standby.Store().Get("bb"); !ok {
+	if _, ok := standby.Store().Get(st[1].fp); !ok {
 		t.Fatal("live standby missed the push because another standby was dead")
 	}
 	// The replica.push faultpoint injects the same degradation.
 	faultpoint.Arm("replica.push", faultpoint.Error, 1)
-	if err := rep.Push(context.Background(), src, seed); !errors.Is(err, faultpoint.ErrInjected) {
+	if err := rep.Push(context.Background(), cut()); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("armed push = %v, want injected fault", err)
 	}
 }

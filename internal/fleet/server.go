@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"relperf/internal/obs"
+	"relperf/internal/wal"
 )
 
 // Server is the HTTP face of a Scheduler:
@@ -377,8 +378,8 @@ func (s *Server) handleSuites(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, suiteResponse{Fingerprints: fps, Seed: s.sched.Seed()})
 }
 
-// maxReplicaBody bounds POST /v1/replica/snapshot bodies. Snapshots carry
-// whole result sets, so the bound is generous — but still a bound.
+// maxReplicaBody bounds POST /v1/replica/snapshot bodies. Checkpoints
+// carry whole result sets, so the bound is generous — but still a bound.
 const maxReplicaBody = 256 << 20
 
 // replicaResponse is the POST /v1/replica/snapshot success body.
@@ -387,16 +388,17 @@ type replicaResponse struct {
 	Seed   uint64 `json:"seed"`
 }
 
-// handleReplicaSnapshot is the standby side of snapshot replication: a
-// coordinator pushes its compacted snapshot here and the store absorbs it
-// with Merge semantics. Seed mismatches and byte conflicts are 409 — a
-// standby never overwrites what it already serves, and never accepts
-// another seed's bytes; both would break the failover byte-identity
-// contract.
+// handleReplicaSnapshot is the standby side of replication: a daemon
+// pushes each checkpoint here and the store absorbs it with MergeSnapshot
+// (every record validated before any is applied). A body that is not a
+// valid checkpoint is 400 and changes nothing. Seed mismatches and byte
+// conflicts are 409 — a standby never overwrites what it already serves,
+// and never accepts another seed's bytes; both would break the failover
+// byte-identity contract.
 func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	n, err := s.sched.Store().MergeSnapshot(http.MaxBytesReader(w, r.Body, maxReplicaBody), s.sched.Seed())
 	switch {
-	case errors.Is(err, ErrSeedMismatch), errors.Is(err, ErrMergeConflict):
+	case errors.Is(err, wal.ErrSeedMismatch), errors.Is(err, ErrMergeConflict):
 		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
 	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

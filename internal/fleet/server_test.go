@@ -124,15 +124,15 @@ func TestServerRestartFromSnapshot(t *testing.T) {
 		_, body := getStudy(t, ts1, fp)
 		want[fp] = body
 	}
-	var snap bytes.Buffer
-	if err := sched1.Store().WriteSnapshot(&snap, sched1.Seed()); err != nil {
+	snap, _, err := sched1.Store().SnapshotCut(sched1.Seed())
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 	sched1.Close()
 
 	store := NewStore(0)
-	if _, err := store.LoadSnapshot(bytes.NewReader(snap.Bytes()), 23); err != nil {
+	if _, err := store.LoadSnapshot(bytes.NewReader(snap), 23); err != nil {
 		t.Fatal(err)
 	}
 	srv2, sched2 := newTestServer(t, 23, store)

@@ -1,42 +1,38 @@
 // Package fleet is the multi-study serving subsystem: a Scheduler that runs
 // whole suites of studies on one shared worker budget with single-flight
-// coalescing, a content-addressed result Store with LRU eviction and JSON
-// snapshot persistence, and an HTTP Server exposing both — the engine
-// behind the relperfd daemon.
+// coalescing, a content-addressed result Store with LRU eviction and
+// checkpoint persistence (a compacted write-ahead log), and an HTTP Server
+// exposing both — the engine behind the relperfd daemon.
 //
 // Identity and determinism come from the relperf suite primitives: a
 // study is addressed by its canonical config fingerprint, its seed derives
 // from (suite seed, fingerprint), and the stored value is the study's
-// canonical wire encoding — so a cached, snapshot-restored or freshly
+// canonical wire encoding — so a cached, checkpoint-restored or freshly
 // computed result for one fingerprint is always the same sequence of bytes.
 package fleet
 
 import (
 	"bytes"
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
 	"relperf/internal/wal"
 )
 
-// SnapshotSchema identifies the store's persistence format.
-const SnapshotSchema = "relperf/fleet-snapshot/v1"
-
 // Store is a content-addressed result cache: canonical wire-encoded study
-// results keyed by config fingerprint, with LRU eviction and JSON snapshot
-// persistence so a restarted daemon serves warm results. Results enter
-// only through Merge, so a fingerprint never changes bytes once stored:
-// every source (a local compute, a grid worker, a WAL replay, a snapshot
-// load or a replica push) either agrees with what is held or fails with
-// ErrMergeConflict. Alongside the result blobs it retains the declarative
-// spec (wire JSON) of every study submitted through the spec layer; specs
-// are tiny, never evicted, and are persisted in snapshots — they are the
-// recipes a restarted daemon uses to recompute results the LRU evicted.
+// results keyed by config fingerprint, with LRU eviction and checkpoint
+// persistence (SnapshotCut) so a restarted daemon serves warm results.
+// Results enter only through Merge, so a fingerprint never changes bytes
+// once stored: every source (a local compute, a grid worker, a WAL replay,
+// a checkpoint load or a replica push) either agrees with what is held or
+// fails with ErrMergeConflict. Alongside the result blobs it retains the
+// declarative spec (wire JSON) of every study submitted through the spec
+// layer; specs are tiny, never evicted, and are persisted in checkpoints —
+// they are the recipes a restarted daemon uses to recompute results the
+// LRU evicted.
 //
 // The read paths a dashboard polls are priced per request, not per store:
 // an index page costs O(log n + limit) against a sorted fingerprint list
@@ -44,12 +40,12 @@ const SnapshotSchema = "relperf/fleet-snapshot/v1"
 // once and kept with its cache entry until that entry is evicted.
 // Safe for concurrent use.
 type Store struct {
-	// writeMu serializes mutators (Merge, PutSpec, snapshot capture)
+	// writeMu serializes mutators (Merge, PutSpec, checkpoint capture)
 	// against each other; mu alone guards visibility. The split is what
 	// keeps the hot serving path off the disk: a journaled mutation holds
 	// writeMu across its append→visible window but releases mu around the
 	// WAL fsync, so Get/Contains/Stats/IndexPage never wait behind I/O —
-	// and SnapshotCut, by taking writeMu, captures a snapshot and a WAL cut
+	// and SnapshotCut, by taking writeMu, captures a checkpoint and a WAL cut
 	// point with no acknowledged record falling between them. Lock order:
 	// writeMu before mu, never the reverse.
 	writeMu  sync.Mutex
@@ -359,7 +355,7 @@ func (s *Store) PutSpec(fp string, spec []byte) error {
 	s.mu.Unlock()
 	// As in Merge: the fsync happens with mu released so readers never
 	// wait on it, and writeMu keeps the check-journal-retain sequence
-	// atomic against other mutators and snapshot capture.
+	// atomic against other mutators and checkpoint capture.
 	if journal != nil {
 		if err := journal.Append(wal.Record{Type: wal.TypeSpec, Fingerprint: fp, Data: spec}); err != nil {
 			return fmt.Errorf("fleet: journaling spec %s: %w", fp, err)
@@ -405,85 +401,31 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// snapshot is the persisted form: entries from least to most recently used
-// so replaying them through Merge restores both contents and recency, plus
-// the retained study specs (sorted by fingerprint so equal stores write
-// byte-identical snapshots). Specs is optional — snapshots written before
-// the declarative-spec schema load fine, they just cannot seed recompute.
-type snapshot struct {
-	Schema  string          `json:"schema"`
-	Seed    uint64          `json:"seed"`
-	Entries []snapshotEntry `json:"entries"`
-	Specs   []snapshotSpec  `json:"specs,omitempty"`
-}
-
-type snapshotEntry struct {
-	Fingerprint string          `json:"fingerprint"`
-	Result      json.RawMessage `json:"result"`
-}
-
-type snapshotSpec struct {
-	Fingerprint string          `json:"fingerprint"`
-	Spec        json.RawMessage `json:"spec"`
-}
-
-// captureLocked builds the snapshot document off the live state, specs in
-// fingerprint order straight off the settled index. The caller holds mu;
-// the blobs and specs it references are shared immutable slices, so
-// encoding may happen after the lock is released.
-func (s *Store) captureLocked(seed uint64) *snapshot {
-	snap := &snapshot{Schema: SnapshotSchema, Seed: seed}
-	for el := s.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*storeEntry)
-		snap.Entries = append(snap.Entries, snapshotEntry{Fingerprint: e.fp, Result: e.blob})
-	}
-	s.settleLocked()
-	for _, fp := range s.index {
-		if spec, ok := s.specs[fp]; ok {
-			snap.Specs = append(snap.Specs, snapshotSpec{Fingerprint: fp, Spec: spec})
-		}
-	}
-	return snap
-}
-
-// encodeSnapshot serializes a captured snapshot.
-func encodeSnapshot(snap *snapshot) ([]byte, error) {
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// WriteSnapshot persists every cached result and retained spec together
-// with the suite seed the results were computed under. Result blobs are
-// embedded verbatim (they are canonical compact JSON), so a load-and-serve
-// round trip is byte-identical.
-func (s *Store) WriteSnapshot(w io.Writer, seed uint64) error {
-	s.mu.Lock()
-	snap := s.captureLocked(seed)
-	s.mu.Unlock()
-	b, err := encodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// SnapshotCut serializes the store's snapshot for seed and returns it
-// together with a WAL cut point for compaction. The capture happens under
-// the writer lock, so no journaled mutation can commit between the
-// captured state and the cut: every record below cut is reflected in the
-// returned bytes, and a record acknowledged after the capture sits at or
-// above it. That invariant is what makes snapshot-then-compact crash-safe
-// — wal.Log.CompactTo(cut) discards exactly the records the snapshot
-// absorbed, never one that was acked while the snapshot was being written.
-// With no journal attached the cut is 0.
+// SnapshotCut encodes the store's checkpoint for seed — a compacted log:
+// the wal header, the specs in fingerprint order, then the results from
+// least to most recently used (restoring them in order rebuilds recency),
+// so equal stores write equal bytes — with a WAL cut point. The capture
+// holds the writer lock, so every record below cut is in the checkpoint
+// and a record acked after the capture sits at or above it: CompactTo(cut)
+// drops exactly what the checkpoint absorbed. With no journal the cut is
+// 0. Encoding runs off the locks; captured blobs and specs are immutable.
 func (s *Store) SnapshotCut(seed uint64) ([]byte, int64, error) {
 	s.writeMu.Lock()
 	s.mu.Lock()
-	snap := s.captureLocked(seed)
+	s.settleLocked()
+	recs := make([]wal.Record, 0, len(s.specs)+s.ll.Len())
+	size := 0
+	for _, fp := range s.index {
+		if spec, ok := s.specs[fp]; ok {
+			recs = append(recs, wal.Record{Type: wal.TypeSpec, Fingerprint: fp, Data: spec})
+			size += len(fp) + len(spec) + 64
+		}
+	}
+	for el := s.ll.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*storeEntry)
+		recs = append(recs, wal.Record{Type: wal.TypeResult, Fingerprint: e.fp, Data: e.blob})
+		size += len(e.fp) + len(e.blob) + 64
+	}
 	journal := s.journal
 	s.mu.Unlock()
 	var cut int64
@@ -491,86 +433,12 @@ func (s *Store) SnapshotCut(seed uint64) ([]byte, int64, error) {
 		cut = journal.Size()
 	}
 	s.writeMu.Unlock()
-	b, err := encodeSnapshot(snap)
-	return b, cut, err
-}
-
-// ErrSeedMismatch is returned by LoadSnapshot and MergeSnapshot when the
-// snapshot was computed under a different suite seed: fingerprints address
-// results only together with the seed, so absorbing another seed's
-// snapshot would silently break the determinism contract.
-var ErrSeedMismatch = errors.New("fleet: snapshot seed mismatch")
-
-// decodeSnapshot decodes and validates a snapshot document for seed.
-func decodeSnapshot(r io.Reader, seed uint64) (*snapshot, error) {
-	var snap snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("fleet: decoding snapshot: %w", err)
-	}
-	if snap.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("fleet: snapshot schema %q, want %q", snap.Schema, SnapshotSchema)
-	}
-	if snap.Seed != seed {
-		return nil, fmt.Errorf("%w: snapshot was computed under seed %d, store serves seed %d", ErrSeedMismatch, snap.Seed, seed)
-	}
-	return &snap, nil
-}
-
-// LoadSnapshot restores the entries of a snapshot written for the given
-// suite seed and returns how many are actually retained afterwards — a
-// capacity-bounded store may LRU-evict earlier entries during the replay,
-// and reporting the raw entry count would let an operator believe evicted
-// results are servable. Entries go through Merge, so a snapshot that
-// disagrees with bytes the store already holds is an ErrMergeConflict,
-// never a silent replacement. A seed mismatch is an ErrSeedMismatch.
-func (s *Store) LoadSnapshot(r io.Reader, seed uint64) (int, error) {
-	snap, err := decodeSnapshot(r, seed)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range snap.Entries {
-		if err := s.Merge(e.Fingerprint, []byte(e.Result)); err != nil {
-			return 0, err
+	b := wal.AppendHeader(make([]byte, 0, size+64), seed) // size: data, fp, envelope and frame
+	for _, rec := range recs {
+		var err error
+		if b, err = wal.AppendRecord(b, rec); err != nil {
+			return nil, 0, err
 		}
 	}
-	for _, e := range snap.Specs {
-		if err := s.PutSpec(e.Fingerprint, []byte(e.Spec)); err != nil {
-			return 0, err
-		}
-	}
-	retained := 0
-	for _, e := range snap.Entries {
-		if s.Contains(e.Fingerprint) {
-			retained++
-		}
-	}
-	return retained, nil
-}
-
-// MergeSnapshot absorbs a snapshot into a live store with Merge semantics:
-// entries the store already holds must carry identical bytes
-// (ErrMergeConflict otherwise — a replica push never overwrites), new
-// entries and specs are added (journaled, when a WAL is attached). This is
-// the standby side of snapshot replication: a coordinator pushes each
-// compacted snapshot here, and a promoted standby then serves the same
-// bytes with zero recomputation. Returns how many result entries were
-// applied.
-func (s *Store) MergeSnapshot(r io.Reader, seed uint64) (int, error) {
-	snap, err := decodeSnapshot(r, seed)
-	if err != nil {
-		return 0, err
-	}
-	applied := 0
-	for _, e := range snap.Entries {
-		if err := s.Merge(e.Fingerprint, []byte(e.Result)); err != nil {
-			return applied, err
-		}
-		applied++
-	}
-	for _, e := range snap.Specs {
-		if err := s.PutSpec(e.Fingerprint, []byte(e.Spec)); err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
+	return b, cut, nil
 }

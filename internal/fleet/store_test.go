@@ -2,10 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"relperf/internal/wal"
 )
 
 // mustMerge stores a result through Merge, the store's only insert path.
@@ -56,41 +60,90 @@ func TestStoreUnboundedAndReplace(t *testing.T) {
 	}
 }
 
+// studyFixture is one computed study: its fingerprint, its retained spec
+// and its canonical result bytes.
+type studyFixture struct {
+	fp         string
+	spec, blob []byte
+}
+
+var (
+	fixtureOnce    sync.Once
+	fixtureStudies []studyFixture
+	fixtureErr     error
+)
+
+// realStudies returns n (at most 6) small computed Table-I studies, real
+// specs under their real fingerprints with real results, computed once per
+// test binary. Every record a checkpoint restores is validated, so tests
+// that persist a store persist these rather than made-up blobs.
+func realStudies(t *testing.T, n int) []studyFixture {
+	t.Helper()
+	fixtureOnce.Do(func() {
+		sched := New(Options{Workers: 2, Seed: 11})
+		defer sched.Close()
+		var specs []StudySpec
+		for m := 6; m < 12; m++ {
+			specs = append(specs, StudySpec{Workload: "tableI", LoopN: 2, Measurements: m, Reps: 10})
+		}
+		fps, err := sched.SubmitSpecs(specs)
+		if err != nil {
+			fixtureErr = err
+			return
+		}
+		for _, fp := range fps {
+			blob, err := sched.Result(context.Background(), fp)
+			if err != nil {
+				fixtureErr = err
+				return
+			}
+			spec, _ := sched.Store().Spec(fp)
+			fixtureStudies = append(fixtureStudies, studyFixture{fp: fp, spec: spec, blob: blob})
+		}
+	})
+	if fixtureErr != nil {
+		t.Fatal(fixtureErr)
+	}
+	return fixtureStudies[:n]
+}
+
 // TestStoreSnapshotRoundTrip: blobs and recency order survive persistence
 // byte-for-byte.
 func TestStoreSnapshotRoundTrip(t *testing.T) {
+	st := realStudies(t, 2)
+	a, b := st[0].fp, st[1].fp
 	s := NewStore(0)
-	mustMerge(t, s, "aaaa", []byte(`{"schema":"x","v":[1,2,3]}`))
-	mustMerge(t, s, "bbbb", []byte(`{"schema":"x","v":[4.000000000000001]}`))
-	s.Get("aaaa") // aaaa becomes MRU
+	mustMerge(t, s, a, st[0].blob)
+	mustMerge(t, s, b, st[1].blob)
+	s.Get(a) // a becomes MRU
 
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf, 42); err != nil {
+	snap, _, err := s.SnapshotCut(42)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	restored := NewStore(0)
-	n, err := restored.LoadSnapshot(bytes.NewReader(buf.Bytes()), 42)
+	n, err := restored.LoadSnapshot(bytes.NewReader(snap), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("loaded %d entries, want 2", n)
 	}
-	for _, fp := range []string{"aaaa", "bbbb"} {
+	for _, fp := range []string{a, b} {
 		want, _ := s.Get(fp)
 		got, ok := restored.Get(fp)
 		if !ok || !bytes.Equal(want, got) {
 			t.Fatalf("entry %s differs after restore: %s vs %s", fp, want, got)
 		}
 	}
-	// Recency survived: bbbb is LRU in both (ignore the Get calls above by
+	// Recency survived: b is LRU in both (ignore the Get calls above by
 	// re-deriving from a fresh load).
 	restored2 := NewStore(0)
-	if _, err := restored2.LoadSnapshot(bytes.NewReader(buf.Bytes()), 42); err != nil {
+	if _, err := restored2.LoadSnapshot(bytes.NewReader(snap), 42); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored2.Keys(); !reflect.DeepEqual(got, []string{"aaaa", "bbbb"}) {
+	if got := restored2.Keys(); !reflect.DeepEqual(got, []string{a, b}) {
 		t.Fatalf("restored recency order = %v", got)
 	}
 }
@@ -99,16 +152,17 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 // reports how many entries are actually servable, not how many the
 // snapshot held.
 func TestStoreSnapshotLoadBounded(t *testing.T) {
+	st := realStudies(t, 5)
 	src := NewStore(0)
-	for _, fp := range []string{"a", "b", "c", "d", "e"} {
-		mustMerge(t, src, fp, []byte(`{}`))
+	for _, x := range st {
+		mustMerge(t, src, x.fp, x.blob)
 	}
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf, 1); err != nil {
+	snap, _, err := src.SnapshotCut(1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	small := NewStore(2)
-	n, err := small.LoadSnapshot(bytes.NewReader(buf.Bytes()), 1)
+	n, err := small.LoadSnapshot(bytes.NewReader(snap), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +170,7 @@ func TestStoreSnapshotLoadBounded(t *testing.T) {
 		t.Fatalf("reported %d restored entries, want the 2 actually retained", n)
 	}
 	// The retained pair is the most recently used of the source.
-	if got := small.Keys(); !reflect.DeepEqual(got, []string{"e", "d"}) {
+	if got := small.Keys(); !reflect.DeepEqual(got, []string{st[4].fp, st[3].fp}) {
 		t.Fatalf("retained keys = %v", got)
 	}
 }
@@ -125,30 +179,32 @@ func TestStoreSnapshotLoadBounded(t *testing.T) {
 // survive a snapshot round trip verbatim, are never LRU-evicted, and equal
 // stores write byte-identical snapshots regardless of spec insertion order.
 func TestStoreSpecSnapshot(t *testing.T) {
+	st := realStudies(t, 2)
+	a, b := st[0], st[1]
 	s := NewStore(1)
-	mustMerge(t, s, "aaaa", []byte(`{"v":1}`))
-	s.PutSpec("aaaa", []byte(`{"workload":"tableI"}`))
-	s.PutSpec("bbbb", []byte(`{"workload":"fig1"}`))
-	mustMerge(t, s, "bbbb", []byte(`{"v":2}`)) // evicts result aaaa, not its spec
-	if _, ok := s.Get("aaaa"); ok {
-		t.Fatal("result aaaa should have been evicted")
+	mustMerge(t, s, a.fp, a.blob)
+	s.PutSpec(a.fp, a.spec)
+	s.PutSpec(b.fp, b.spec)
+	mustMerge(t, s, b.fp, b.blob) // evicts result a, not its spec
+	if _, ok := s.Get(a.fp); ok {
+		t.Fatal("result a should have been evicted")
 	}
-	if spec, ok := s.Spec("aaaa"); !ok || string(spec) != `{"workload":"tableI"}` {
-		t.Fatalf("spec aaaa = %q, %v (specs must not be LRU-evicted)", spec, ok)
+	if spec, ok := s.Spec(a.fp); !ok || !bytes.Equal(spec, a.spec) {
+		t.Fatalf("spec a = %q, %v (specs must not be LRU-evicted)", spec, ok)
 	}
 	if st := s.Stats(); st.Specs != 2 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf, 7); err != nil {
+	snap, _, err := s.SnapshotCut(7)
+	if err != nil {
 		t.Fatal(err)
 	}
 	restored := NewStore(0)
-	if _, err := restored.LoadSnapshot(bytes.NewReader(buf.Bytes()), 7); err != nil {
+	if _, err := restored.LoadSnapshot(bytes.NewReader(snap), 7); err != nil {
 		t.Fatal(err)
 	}
-	for _, fp := range []string{"aaaa", "bbbb"} {
+	for _, fp := range []string{a.fp, b.fp} {
 		want, _ := s.Spec(fp)
 		got, ok := restored.Spec(fp)
 		if !ok || !bytes.Equal(want, got) {
@@ -159,42 +215,44 @@ func TestStoreSpecSnapshot(t *testing.T) {
 	// Determinism: the same contents inserted in the opposite order write
 	// the same snapshot bytes (specs are sorted by fingerprint).
 	s2 := NewStore(1)
-	s2.PutSpec("bbbb", []byte(`{"workload":"fig1"}`))
-	s2.PutSpec("aaaa", []byte(`{"workload":"tableI"}`))
-	mustMerge(t, s2, "aaaa", []byte(`{"v":1}`))
-	mustMerge(t, s2, "bbbb", []byte(`{"v":2}`))
-	var buf2 bytes.Buffer
-	if err := s2.WriteSnapshot(&buf2, 7); err != nil {
+	s2.PutSpec(b.fp, b.spec)
+	s2.PutSpec(a.fp, a.spec)
+	mustMerge(t, s2, a.fp, a.blob)
+	mustMerge(t, s2, b.fp, b.blob)
+	snap2, _, err := s2.SnapshotCut(7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("snapshot bytes depend on spec insertion order:\n%s\n%s", buf.Bytes(), buf2.Bytes())
+	if !bytes.Equal(snap, snap2) {
+		t.Fatalf("snapshot bytes depend on spec insertion order:\n%q\n%q", snap, snap2)
 	}
 }
 
-// TestStoreSnapshotWithoutSpecs: pre-spec snapshots (no "specs" field)
-// still load.
+// TestStoreSnapshotWithoutSpecs: a relperf/fleet-snapshot/v1 JSON snapshot,
+// the format before checkpoints were logs, is refused by name and restores
+// nothing.
 func TestStoreSnapshotWithoutSpecs(t *testing.T) {
 	legacy := `{"schema":"relperf/fleet-snapshot/v1","seed":3,"entries":[{"fingerprint":"aaaa","result":{"v":1}}]}`
 	s := NewStore(0)
 	n, err := s.LoadSnapshot(strings.NewReader(legacy), 3)
-	if err != nil || n != 1 {
-		t.Fatalf("legacy snapshot: n=%d err=%v", n, err)
+	if err == nil || !strings.Contains(err.Error(), "relperf/fleet-snapshot/v1") {
+		t.Fatalf("v1 snapshot: n=%d err=%v, want a refusal naming the schema", n, err)
 	}
-	if st := s.Stats(); st.Specs != 0 {
-		t.Fatalf("stats = %+v", st)
+	if st := s.Stats(); st != (Stats{}) {
+		t.Fatalf("stats = %+v after a refused load", st)
 	}
 }
 
 func TestStoreSnapshotSeedMismatch(t *testing.T) {
+	st := realStudies(t, 1)
 	s := NewStore(0)
-	mustMerge(t, s, "aaaa", []byte(`{}`))
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf, 1); err != nil {
+	mustMerge(t, s, st[0].fp, st[0].blob)
+	snap, _, err := s.SnapshotCut(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStore(0).LoadSnapshot(bytes.NewReader(buf.Bytes()), 2); err == nil {
-		t.Fatal("seed mismatch accepted")
+	if _, err := NewStore(0).LoadSnapshot(bytes.NewReader(snap), 2); !errors.Is(err, wal.ErrSeedMismatch) {
+		t.Fatalf("seed mismatch = %v, want wal.ErrSeedMismatch", err)
 	}
 	if _, err := NewStore(0).LoadSnapshot(strings.NewReader(`{"schema":"bogus","seed":1}`), 1); err == nil {
 		t.Fatal("wrong schema accepted")

@@ -113,8 +113,10 @@ type Config struct {
 	Client *http.Client
 	// Journal, when set, makes the dispatch journal durable: every task
 	// record is appended to the write-ahead log as a wal.TypeTask record,
-	// and RestoreJournal reloads them at startup — so GET /v1/grid/tasks
-	// survives coordinator restarts instead of forgetting every dispatch.
+	// a checkpoint keeps the serving journal (JournalRecords) once
+	// compaction drops those records, and RestoreJournal reloads both at
+	// startup — so GET /v1/grid/tasks survives coordinator restarts
+	// instead of forgetting every dispatch.
 	Journal *wal.Log
 	// Logf receives dispatch diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -263,6 +265,8 @@ type TaskRecord struct {
 	Outcome string `json:"outcome"`
 	// Error is the last attempt's failure when Outcome is not "remote".
 	Error string `json:"error,omitempty"`
+
+	fp string // the study's fingerprint, which its WAL record is keyed by
 }
 
 // record appends to the bounded serving journal (newest first) and, when
@@ -279,7 +283,7 @@ func (c *Coordinator) record(task relperf.GridTask, worker string, attempts int,
 	if merr != nil {
 		envelope = []byte("{}")
 	}
-	rec := TaskRecord{Task: envelope, Worker: worker, Attempts: attempts, Outcome: outcome}
+	rec := TaskRecord{Task: envelope, Worker: worker, Attempts: attempts, Outcome: outcome, fp: task.Fingerprint}
 	if err != nil {
 		rec.Error = err.Error()
 	}
@@ -300,19 +304,34 @@ func (c *Coordinator) record(task relperf.GridTask, worker string, attempts int,
 	}
 }
 
-// RestoreJournal reloads task records recovered from the write-ahead log
-// (oldest first, as ReplayWAL returns them) into the serving journal, so
-// GET /v1/grid/tasks picks up across a restart exactly where the dead
-// coordinator left off. Unparseable records are skipped with a loud log —
-// the WAL's CRC already vouched for the bytes, so a parse failure means an
-// incompatible older schema, not corruption worth dying over. Returns how
-// many records were restored.
+// JournalRecords returns the serving journal as WAL task records, oldest
+// first — the form a checkpoint keeps it in, since compacting the log
+// drops the task records it held.
+func (c *Coordinator) JournalRecords() []wal.Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	recs := make([]wal.Record, 0, len(c.journal))
+	for i := len(c.journal) - 1; i >= 0; i-- {
+		if data, err := json.Marshal(&c.journal[i]); err == nil {
+			recs = append(recs, wal.Record{Type: wal.TypeTask, Fingerprint: c.journal[i].fp, Data: data})
+		}
+	}
+	return recs
+}
+
+// RestoreJournal reloads task records recovered from a checkpoint and the
+// write-ahead log (oldest first, as ReplayWAL returns them) into the
+// serving journal, so GET /v1/grid/tasks picks up across a restart
+// exactly where the dead coordinator left off. Unparseable records are
+// skipped with a loud log — the CRC already vouched for the bytes, so a
+// parse failure means an incompatible older schema, not corruption worth
+// dying over. Returns how many records were restored.
 func (c *Coordinator) RestoreJournal(recs []wal.Record) int {
 	restored := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, rec := range recs {
-		var tr TaskRecord
+		tr := TaskRecord{fp: rec.Fingerprint}
 		if err := json.Unmarshal(rec.Data, &tr); err != nil {
 			c.logf("grid: skipping unparseable task record for %s: %v", rec.Fingerprint, err)
 			continue

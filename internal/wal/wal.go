@@ -9,19 +9,24 @@
 //
 //	uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload
 //
-// The first frame is a header record pinning the schema and the suite
-// seed; a log written under one seed refuses to open under another (the
-// fingerprints it names would address different bytes). Recovery reads
-// frames until the first bad one — a length that overruns the file, an
-// oversized length, or a checksum mismatch — and truncates there, loudly:
-// a torn tail (the crash landed mid-append) costs exactly the un-acked
-// suffix. Compaction is CompactTo: once a snapshot has durably absorbed
-// the log's events up to a cut point, the log is rewritten (atomically,
-// via rename) as a fresh header plus whatever was appended after the cut.
+// The first frame is a header pinning the schema and the suite seed; a log
+// written under one seed refuses to open under another (the fingerprints
+// it names would address different bytes). Every later frame is one JSON
+// Record. A checkpoint is the same format: a compacted log, written whole
+// (AppendHeader, AppendRecord) and read whole (Read). One reader serves
+// both. Open reads until the first bad frame or envelope — a length that
+// overruns the file, an oversized length, a checksum mismatch, a payload
+// that is not a record — and truncates there, loudly: a torn tail costs
+// exactly the un-acked suffix. Read repairs nothing: a checkpoint is
+// published by atomic rename, so a bad frame in it is corruption. Once a
+// checkpoint has absorbed the log up to a cut point, CompactTo rewrites
+// the log (atomically) as a fresh header plus what was appended after it.
 package wal
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,6 +40,7 @@ import (
 	"time"
 
 	"relperf/internal/faultpoint"
+	"relperf/internal/pool"
 )
 
 // Schema identifies the header record of a v1 log.
@@ -53,6 +59,9 @@ const (
 // frameOverhead is the per-record framing cost: length + CRC.
 const frameOverhead = 8
 
+// Chunk is how many records one parallel decode or validation unit takes.
+const Chunk = 64
+
 // maxPayload bounds one record; a recovered length beyond it is treated
 // as corruption, not as an instruction to allocate gigabytes.
 const maxPayload = 64 << 20
@@ -66,7 +75,35 @@ type Record struct {
 	// Data is the event payload, verbatim (spec JSON, result JSON, task
 	// record JSON).
 	Data json.RawMessage `json:"data,omitempty"`
+	// Offset is the byte offset of the record's frame in the file it was
+	// read from. It names the record in errors and is never written.
+	Offset int64 `json:"-"`
 }
+
+// ErrSeedMismatch is returned when a log or checkpoint was written under a
+// different suite seed: fingerprints address results only together with
+// the seed, so absorbing another seed's records would silently break the
+// determinism contract.
+var ErrSeedMismatch = errors.New("wal: seed mismatch")
+
+// RecordError names the record at which reading a log or checkpoint
+// stopped, and why. Index counts records from 0, after the header; the
+// header itself is Index -1.
+type RecordError struct {
+	Index       int
+	Fingerprint string // as far as the record's envelope still says
+	Offset      int64  // of the record's frame
+	Err         error
+}
+
+func (e *RecordError) Error() string {
+	if e.Index < 0 {
+		return fmt.Sprintf("header at byte offset %d: %v", e.Offset, e.Err)
+	}
+	return fmt.Sprintf("record %d (fingerprint %q) at byte offset %d: %v", e.Index, e.Fingerprint, e.Offset, e.Err)
+}
+
+func (e *RecordError) Unwrap() error { return e.Err }
 
 // header is the first record of every log.
 type header struct {
@@ -74,52 +111,167 @@ type header struct {
 	Seed   uint64 `json:"seed"`
 }
 
-// AppendFrame appends one framed payload to buf and returns the extended
-// slice.
-func AppendFrame(buf, payload []byte) []byte {
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// AppendHeader appends the header frame of a log for seed to buf.
+func AppendHeader(buf []byte, seed uint64) []byte {
+	buf, _ = appendJSON(buf, header{Schema: Schema, Seed: seed}) // cannot fail
+	return buf
 }
 
-// frameError describes a torn or corrupt frame — the point where
-// recovery truncates the log.
-type frameError struct{ msg string }
+// AppendRecord appends rec's frame to buf: the one record encoder, shared
+// by Append and by checkpoints, so both files hold the same bytes for the
+// same record.
+func AppendRecord(buf []byte, rec Record) ([]byte, error) { return appendJSON(buf, &rec) }
+
+// appendJSON appends a frame holding v's json.Marshal encoding to buf. The
+// payload is encoded in place, after a frame header filled in last, so
+// framing a whole checkpoint copies no record.
+func appendJSON(buf []byte, v any) ([]byte, error) {
+	start := len(buf)
+	w := bytes.NewBuffer(append(buf, make([]byte, frameOverhead)...))
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		return buf, fmt.Errorf("wal: encoding record: %w", err)
+	}
+	out := w.Bytes()[:w.Len()-1] // Encode ends the value with a newline
+	p := out[start+frameOverhead:]
+	if len(p) > maxPayload {
+		return buf, fmt.Errorf("wal: record of %d bytes exceeds the %d byte bound", len(p), maxPayload)
+	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(p))
+	return out, nil
+}
+
+// frameError describes a torn or corrupt frame — the point where Open
+// truncates a log and Read fails. payload is as much of the frame's
+// payload as could be read, so the error can still name the record.
+type frameError struct {
+	msg     string
+	payload []byte
+}
 
 func (e *frameError) Error() string { return e.msg }
 
-// readFrame reads the frame at offset off from br and returns its payload.
-// It returns io.EOF at a clean end of input and a *frameError for a torn
-// or corrupt frame: a header or payload the input ends inside, an
-// oversized length, or a checksum mismatch. Any other error is a real read
-// error, returned as is. Memory is O(one frame), whatever the input; it
-// never panics — recovery and the fuzzer both lean on that.
-func readFrame(br *bufio.Reader, off int64) ([]byte, error) {
+// readFrame reads the next frame from br and returns its payload. It
+// returns io.EOF at a clean end of input and a *frameError for a torn or
+// corrupt frame: a header or payload the input ends inside, an oversized
+// length, or a checksum mismatch. Any other error is a real read error,
+// returned as is. Memory is O(one frame), whatever the input; it never
+// panics — recovery and the fuzzer both lean on that.
+func readFrame(br *bufio.Reader) ([]byte, error) {
 	var fh [frameOverhead]byte
 	if k, err := io.ReadFull(br, fh[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, &frameError{fmt.Sprintf("wal: torn frame header at offset %d (%d trailing bytes)", off, k)}
+			return nil, &frameError{msg: fmt.Sprintf("torn frame header (%d trailing bytes)", k)}
 		}
 		return nil, err // io.EOF: clean end of input
 	}
 	n := int(binary.LittleEndian.Uint32(fh[0:4]))
 	sum := binary.LittleEndian.Uint32(fh[4:8])
 	if n > maxPayload {
-		return nil, &frameError{fmt.Sprintf("wal: frame at offset %d claims %d bytes (corrupt length)", off, n)}
+		return nil, &frameError{msg: fmt.Sprintf("frame claims %d bytes (corrupt length)", n)}
 	}
 	payload := make([]byte, n)
 	if k, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, &frameError{fmt.Sprintf("wal: torn frame at offset %d (%d byte payload, %d available)", off, n, k)}
+			return nil, &frameError{fmt.Sprintf("torn frame (%d byte payload, %d available)", n, k), payload[:k]}
 		}
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, &frameError{fmt.Sprintf("wal: checksum mismatch at offset %d", off)}
+		return nil, &frameError{"checksum mismatch", payload}
 	}
 	return payload, nil
+}
+
+// claimedFingerprint returns the fp an envelope claims, as far as payload
+// goes: AppendRecord writes it before the data, so a torn or corrupt frame
+// still names the study it held.
+func claimedFingerprint(payload []byte) string {
+	_, rest, ok := bytes.Cut(payload, []byte(`"fp":"`))
+	fp, _, closed := bytes.Cut(rest, []byte(`"`))
+	if !ok || !closed {
+		return ""
+	}
+	return string(fp)
+}
+
+// load reads a log image for seed: frames serially (length, checksum),
+// then the record envelopes in parallel. It returns the records of the
+// clean prefix in file order, the byte length of that prefix, and a
+// *RecordError naming the first bad frame or envelope (nil when all of r
+// is clean). A foreign seed (ErrSeedMismatch) and a read error are err.
+func load(r io.Reader, seed uint64) (recs []Record, clean int64, bad, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var payloads [][]byte
+	var offs []int64
+	for {
+		p, err := readFrame(br)
+		if err == io.EOF {
+			break
+		}
+		var fe *frameError
+		if errors.As(err, &fe) {
+			bad = &RecordError{Index: len(payloads) - 1, Fingerprint: claimedFingerprint(fe.payload), Offset: clean, Err: fe}
+			break
+		}
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		if clean == 0 {
+			var hdr header
+			if err := json.Unmarshal(p, &hdr); err != nil || hdr.Schema != Schema {
+				bad = &RecordError{Index: -1, Err: fmt.Errorf("no valid %s header", Schema)}
+				break
+			}
+			if hdr.Seed != seed {
+				return nil, 0, nil, fmt.Errorf("%w: written under seed %d, read under seed %d", ErrSeedMismatch, hdr.Seed, seed)
+			}
+		}
+		payloads = append(payloads, p)
+		offs = append(offs, clean)
+		clean += int64(frameOverhead + len(p))
+	}
+	if len(payloads) == 0 {
+		return nil, clean, bad, nil
+	}
+	// payloads[0] is the header. Units never fail, so every envelope is
+	// decoded and the first bad one is found by index, not by timing.
+	payloads, offs = payloads[1:], offs[1:]
+	recs = make([]Record, len(payloads))
+	errs := make([]error, len(payloads))
+	_ = pool.ForEach(context.Background(), nil, (len(payloads)+Chunk-1)/Chunk, 0, func(c int) error {
+		for i := c * Chunk; i < min(len(payloads), (c+1)*Chunk); i++ {
+			if errs[i] = json.Unmarshal(payloads[i], &recs[i]); errs[i] == nil {
+				payloads[i] = nil // Data holds a copy; let the frame go
+			}
+			recs[i].Offset = offs[i]
+		}
+		return nil
+	})
+	for i, e := range errs {
+		if e != nil {
+			return recs[:i], offs[i], &RecordError{Index: i, Fingerprint: claimedFingerprint(payloads[i]), Offset: offs[i], Err: e}, nil
+		}
+	}
+	return recs, clean, bad, nil
+}
+
+// Read reads a whole log image for seed — a checkpoint — and returns its
+// records, oldest first. Unlike Open it repairs nothing: an empty input, a
+// missing header, a torn or corrupt frame or a record that does not parse
+// is a *RecordError, and a foreign seed is ErrSeedMismatch. Read accepts
+// an input exactly when Open would keep every frame of it.
+func Read(r io.Reader, seed uint64) ([]Record, error) {
+	recs, clean, bad, err := load(r, seed)
+	switch {
+	case err != nil:
+		return nil, err
+	case bad != nil:
+		return nil, bad
+	case clean == 0:
+		return nil, &RecordError{Index: -1, Err: errors.New("empty input")}
+	}
+	return recs, nil
 }
 
 // Log is an open write-ahead log. Safe for concurrent use.
@@ -139,16 +291,12 @@ type Log struct {
 	metrics atomic.Pointer[Metrics]
 }
 
-// Open opens (or creates) the log at path for the given suite seed,
-// recovering its records. A torn tail is truncated in place and reported
-// through logf; a header written under a different seed is an error. The
-// returned records are the recovered events, oldest first — the caller
-// replays them before attaching the log to live components, so replayed
-// events are not re-journaled.
-//
-// Recovery streams the file frame by frame rather than slurping it, so
-// startup memory stays O(one frame + recovered records), not O(file
-// size), however large the log grew between compactions.
+// Open opens (or creates) the log at path for seed, recovering its
+// records. A torn tail — a bad frame, or a clean frame whose payload is
+// not a record — is truncated in place and reported through logf; a header
+// written under another seed is an ErrSeedMismatch. The records come back
+// oldest first, for the caller to replay before attaching the log to live
+// components, so replayed events are not re-journaled.
 func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log, []Record, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -161,54 +309,12 @@ func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log
 	if fi, err := f.Stat(); err == nil {
 		total = fi.Size()
 	}
-
-	// One frame per iteration (readFrame). Any torn or corrupt frame — or a
-	// clean frame whose payload does not parse back (corruption the CRC
-	// could not see: it guards the frame, not our encoding) — marks the
-	// truncation point; only a real read error fails the open.
-	br := bufio.NewReaderSize(f, 1<<16)
-	var recs []Record
-	var bad error
-	var off int64
-	first := true
-	for bad == nil {
-		payload, err := readFrame(br, off)
-		if err == io.EOF {
-			break // clean end of log
-		}
-		if err != nil {
-			var fe *frameError
-			if errors.As(err, &fe) {
-				bad = err
-				break
-			}
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		if first {
-			var hdr header
-			if err := json.Unmarshal(payload, &hdr); err != nil || hdr.Schema != Schema {
-				bad = fmt.Errorf("wal: %s has no valid header (treating as empty)", path)
-				break
-			}
-			if hdr.Seed != seed {
-				f.Close()
-				return nil, nil, fmt.Errorf("wal: %s was written under seed %d, log opens under seed %d", path, hdr.Seed, seed)
-			}
-			first = false
-		} else {
-			var rec Record
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				bad = fmt.Errorf("wal: record %d in %s does not parse: %v", len(recs)+1, path, err)
-				break
-			}
-			recs = append(recs, rec)
-		}
-		off += int64(frameOverhead + len(payload))
+	recs, off, bad, err := load(f, seed)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	l := &Log{f: f, path: path, size: off}
-	l.recoveredTruncation = bad != nil
-	l.recoveredRecords = len(recs)
+	l := &Log{f: f, path: path, size: off, recoveredTruncation: bad != nil, recoveredRecords: len(recs)}
 	if bad != nil {
 		logf("wal: RECOVERY %s: %v — truncating to last durable record at byte %d (%d records kept, %d bytes dropped)",
 			path, bad, off, len(recs), total-off)
@@ -227,37 +333,25 @@ func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: seeking %s: %w", path, err)
 	}
-	if l.size == 0 {
-		// Fresh (or headerless) log: write the header frame.
-		if err := l.writeHeader(seed); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := syncDir(path); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return l, nil, nil
+	if l.size > 0 {
+		return l, recs, nil
 	}
-	return l, recs, nil
-}
-
-// writeHeader writes the header frame at the current size (0) and syncs.
-// The caller holds no lock yet (Open) or the lock (Reset).
-func (l *Log) writeHeader(seed uint64) error {
-	p, err := json.Marshal(header{Schema: Schema, Seed: seed})
-	if err != nil {
-		return err
+	// Fresh (or headerless) log: write the header frame.
+	hdr := AppendHeader(nil, seed)
+	if _, err := f.Write(hdr); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: writing header of %s: %w", path, err)
 	}
-	frame := AppendFrame(nil, p)
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: writing header of %s: %w", l.path, err)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: syncing header of %s: %w", path, err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing header of %s: %w", l.path, err)
+	if err := syncDir(path); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
-	l.size = int64(len(frame))
-	return nil
+	l.size = int64(len(hdr))
+	return l, nil, nil
 }
 
 // Append journals one record: frame, write, fsync — in that order, and
@@ -269,14 +363,10 @@ func (l *Log) Append(rec Record) (err error) {
 	m := l.metrics.Load()
 	start := time.Now()
 	defer func() { m.recordAppend(time.Since(start), err) }()
-	p, err := json.Marshal(&rec)
+	frame, err := AppendRecord(nil, rec)
 	if err != nil {
-		return fmt.Errorf("wal: encoding record: %w", err)
+		return err
 	}
-	if len(p) > maxPayload {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d byte bound", len(p), maxPayload)
-	}
-	frame := AppendFrame(nil, p)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -318,14 +408,14 @@ func (l *Log) rollback() {
 	_, _ = l.f.Seek(l.size, io.SeekStart)
 }
 
-// CompactTo compacts the log after a snapshot: every frame below cut —
-// the durable size captured together with the snapshot state
+// CompactTo compacts the log after a checkpoint: every frame below cut —
+// the durable size captured together with the checkpoint state
 // (fleet.Store.SnapshotCut) — is dropped, and every record appended after
 // the capture survives, so compaction can never discard an acknowledged
-// event the snapshot missed. The compacted log (a fresh header plus the
+// event the checkpoint missed. The compacted log (a fresh header plus the
 // surviving tail) is built in a sibling file, fsync'd and renamed into
 // place; a crash at any instant leaves either the old complete log or the
-// compacted one, and both replay consistently over the new snapshot
+// compacted one, and both replay consistently over the new checkpoint
 // because replaying an absorbed record is an idempotent no-op. The
 // wal.compact.rename faultpoint fires before the rename.
 func (l *Log) CompactTo(cut int64, seed uint64) error {
@@ -334,11 +424,7 @@ func (l *Log) CompactTo(cut int64, seed uint64) error {
 	if cut > l.size {
 		cut = l.size // defensive: never resurrect rolled-back bytes
 	}
-	p, err := json.Marshal(header{Schema: Schema, Seed: seed})
-	if err != nil {
-		return err
-	}
-	buf := AppendFrame(nil, p)
+	buf := AppendHeader(nil, seed)
 	if cut < l.size {
 		tail := make([]byte, l.size-cut)
 		if _, err := l.f.ReadAt(tail, cut); err != nil {
@@ -381,32 +467,12 @@ func (l *Log) CompactTo(cut int64, seed uint64) error {
 	return nil
 }
 
-// Reset compacts the log back to its header — called after a snapshot has
-// durably absorbed every logged event and no concurrent appender exists
-// (tests, single-threaded shutdown). Live checkpoints use CompactTo,
-// which keeps records appended after the snapshot capture.
-func (l *Log) Reset(seed uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncating %s: %w", l.path, err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seeking %s: %w", l.path, err)
-	}
-	l.size = 0
-	return l.writeHeader(seed)
-}
-
 // Size returns the clean (durable) length in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Close closes the underlying file.
 func (l *Log) Close() error {

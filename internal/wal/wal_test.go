@@ -3,9 +3,11 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -16,12 +18,31 @@ import (
 	"relperf/internal/faultpoint"
 )
 
+// appendFrame appends a frame around a raw payload, well-formed or not.
+func appendFrame(buf, payload []byte) []byte {
+	var hdr [frameOverhead]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	return append(append(buf, hdr[:]...), payload...)
+}
+
 func testRecord(i int) Record {
 	return Record{
 		Type:        TypeResult,
 		Fingerprint: fmt.Sprintf("%032x", i),
 		Data:        json.RawMessage(fmt.Sprintf(`{"i":%d,"pad":"%064d"}`, i, i)),
 	}
+}
+
+// appendAt appends rec to l and returns it with the Offset a reader will
+// report for it: the log's size before the append.
+func appendAt(t *testing.T, l *Log, rec Record) Record {
+	t.Helper()
+	rec.Offset = l.Size()
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // writeLog creates a log at path with n records and returns the records.
@@ -36,10 +57,7 @@ func writeLog(t *testing.T, path string, seed uint64, n int) []Record {
 	}
 	want := make([]Record, n)
 	for i := range want {
-		want[i] = testRecord(i)
-		if err := l.Append(want[i]); err != nil {
-			t.Fatal(err)
-		}
+		want[i] = appendAt(t, l, testRecord(i))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -60,10 +78,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	// Appends continue after recovery and a third open sees everything.
-	extra := testRecord(99)
-	if err := l.Append(extra); err != nil {
-		t.Fatal(err)
-	}
+	extra := appendAt(t, l, testRecord(99))
 	l.Close()
 	l2, got2, err := Open(path, 7, t.Logf)
 	if err != nil {
@@ -78,11 +93,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestSeedMismatchRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	writeLog(t, path, 7, 2)
-	if _, _, err := Open(path, 8, t.Logf); err == nil {
-		t.Fatal("log written under seed 7 opened under seed 8")
+	if _, _, err := Open(path, 8, t.Logf); !errors.Is(err, ErrSeedMismatch) {
+		t.Fatalf("log written under seed 7 opened under seed 8: %v, want ErrSeedMismatch", err)
 	}
 }
 
+// TestResetCompacts: compacting at the current size resets the log to its
+// header, and later appends land on the fresh header.
 func TestResetCompacts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _, err := Open(path, 7, t.Logf)
@@ -95,11 +112,11 @@ func TestResetCompacts(t *testing.T) {
 		}
 	}
 	grown := l.Size()
-	if err := l.Reset(7); err != nil {
+	if err := l.CompactTo(l.Size(), 7); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() >= grown {
-		t.Fatalf("Reset did not shrink the log: %d -> %d", grown, l.Size())
+		t.Fatalf("compaction to the header did not shrink the log: %d -> %d", grown, l.Size())
 	}
 	// Post-reset appends land on the fresh header.
 	if err := l.Append(testRecord(5)); err != nil {
@@ -157,6 +174,9 @@ func TestCompactToKeepsPostCutRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := append(late, extra)
+	for i := range recs {
+		recs[i].Offset = 0 // compaction moved every frame
+	}
 	if !reflect.DeepEqual(recs, want) {
 		t.Fatalf("after compaction, replay =\n %+v\nwant\n %+v", recs, want)
 	}
@@ -314,6 +334,7 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 		}
 		// Recovery leaves a working log: append, reopen, see prefix+1.
 		extra := testRecord(1000 + trial)
+		extra.Offset = l.Size()
 		if err := l.Append(extra); err != nil {
 			t.Fatalf("trial %d: append after recovery: %v", trial, err)
 		}
@@ -335,7 +356,7 @@ func TestTornTailRecoveryProperty(t *testing.T) {
 func decodeFrames(t *testing.T, b []byte) (payloads [][]byte, clean int, bad error) {
 	br := bufio.NewReader(bytes.NewReader(b))
 	for {
-		p, err := readFrame(br, int64(clean))
+		p, err := readFrame(br)
 		if err == io.EOF {
 			return payloads, clean, nil
 		}
@@ -353,18 +374,30 @@ func decodeFrames(t *testing.T, b []byte) (payloads [][]byte, clean int, bad err
 
 // FuzzWALDecode asserts the frame reader never panics and that decoding
 // is a re-encode fixed point: re-framing the recovered payloads and
-// decoding again yields the identical payloads, cleanly.
+// decoding again yields the identical payloads, cleanly. It also holds the
+// strict checkpoint reader to the recovering one: Read never panics, and
+// it accepts an input exactly when Open keeps every frame of it without
+// truncating, returning the same records.
 func FuzzWALDecode(f *testing.F) {
 	var valid []byte
 	for i := 0; i < 3; i++ {
 		p, _ := json.Marshal(testRecord(i))
-		valid = AppendFrame(valid, p)
+		valid = appendFrame(valid, p)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])          // torn tail
 	f.Add([]byte{})                      // empty
 	f.Add([]byte("not a wal at all"))    // garbage
-	f.Add(AppendFrame(nil, []byte("x"))) // single tiny frame
+	f.Add(appendFrame(nil, []byte("x"))) // single tiny frame
+	const seed = 7
+	log := AppendHeader(nil, seed)
+	for i := 0; i < 3; i++ {
+		log, _ = AppendRecord(log, testRecord(i))
+	}
+	f.Add(log)
+	f.Add(log[:len(log)-5]) // torn checkpoint
+	// Inputs run one at a time per fuzz process, so one file serves all.
+	path := filepath.Join(f.TempDir(), "fuzz.log")
 	f.Fuzz(func(t *testing.T, b []byte) {
 		payloads, clean, bad := decodeFrames(t, b)
 		if clean > len(b) || clean < 0 {
@@ -375,7 +408,7 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		var again []byte
 		for _, p := range payloads {
-			again = AppendFrame(again, p)
+			again = appendFrame(again, p)
 		}
 		payloads2, clean2, bad2 := decodeFrames(t, again)
 		if bad2 != nil {
@@ -389,5 +422,65 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("payload %d changed across re-encode", i)
 			}
 		}
+
+		recs, rerr := Read(bytes.NewReader(b), seed)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, orecs, oerr := Open(path, seed, nil)
+		kept := oerr == nil && len(b) > 0 && !l.recoveredTruncation
+		if l != nil {
+			l.Close()
+		}
+		if (rerr == nil) != kept {
+			t.Fatalf("Read error %v, but Open kept every frame = %v (open error %v)", rerr, kept, oerr)
+		}
+		if rerr == nil && !reflect.DeepEqual(recs, orecs) {
+			t.Fatalf("Read and Open disagree on the records:\n %+v\n %+v", recs, orecs)
+		}
 	})
+}
+
+// TestReadRefusesWhatOpenRepairs: the strict checkpoint reader returns a
+// clean image's records, offsets included, and refuses every input Open
+// would repair — empty, headerless, torn, bit-flipped, an envelope that
+// does not parse — with the record named, and a foreign seed with
+// ErrSeedMismatch.
+func TestReadRefusesWhatOpenRepairs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	want := writeLog(t, path, 7, 3)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(clean), 7)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Read(clean) = %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := Read(bytes.NewReader(clean), 8); !errors.Is(err, ErrSeedMismatch) {
+		t.Fatalf("foreign seed: %v, want ErrSeedMismatch", err)
+	}
+	last := want[2]
+	flip := append([]byte(nil), clean...)
+	flip[len(flip)-3] ^= 1
+	notRecord := appendFrame(append([]byte(nil), clean...), []byte(`{"type":`))
+	for _, c := range []struct {
+		name  string
+		data  []byte
+		index int
+		fp    string
+		off   int64
+	}{
+		{"empty", nil, -1, "", 0},
+		{"headerless", clean[last.Offset:], -1, "", 0},
+		{"torn", clean[:len(clean)-3], 2, last.Fingerprint, last.Offset},
+		{"bit-flip", flip, 2, last.Fingerprint, last.Offset},
+		{"not-a-record", notRecord, 3, "", int64(len(clean))},
+	} {
+		_, err := Read(bytes.NewReader(c.data), 7)
+		var re *RecordError
+		if !errors.As(err, &re) || re.Index != c.index || re.Fingerprint != c.fp || re.Offset != c.off {
+			t.Fatalf("%s: Read = %v, want record %d (%q) at offset %d named", c.name, err, c.index, c.fp, c.off)
+		}
+	}
 }
