@@ -39,8 +39,9 @@ vet:
 # Runs each fuzzer for FUZZTIME on top of the committed seed corpus: spec
 # parsing, result decoding, suite-request decoding, WAL frame decoding (and
 # the strict checkpoint reader against the recovering one) and
-# sketch decoding must never panic and must stay canonical, and the batched
-# bootstrap kernel must match the value-space resample on any sample.
+# sketch decoding must never panic and must stay canonical, the batched
+# bootstrap kernel must match the value-space resample on any sample, and a
+# bulk draw must equal the same number of Intn calls for any bound.
 # `go test -fuzz` takes one target per invocation, hence one line per fuzzer.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStudySpec$$' -fuzztime $(FUZZTIME) .
@@ -49,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzBootKernelQuantiles$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzIntns$$' -fuzztime $(FUZZTIME) ./internal/xrand
 
 # Runs the engine benchmarks with allocation reporting and emits the
 # machine-readable BENCH_engine.json snapshot. The WinRate old/new sweep

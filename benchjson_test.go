@@ -176,6 +176,10 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	parallel := testing.Benchmark(benchStudy(0, false))
 	matrix := testing.Benchmark(benchStudy(0, true))
 	cmpBench := testing.Benchmark(BenchmarkBootstrapCompareAllocs)
+	// N=10 and N=16 are the sample sizes of the benchmark's exact and
+	// matrix studies (perfbench cold-compute).
+	cmp10 := testing.Benchmark(benchBootstrapCompare(10))
+	cmp16 := testing.Benchmark(benchBootstrapCompare(16))
 	serve := testing.Benchmark(BenchmarkServerGetStudy)
 	summary := testing.Benchmark(BenchmarkServerStudySummary)
 	index4 := testing.Benchmark(benchServerIndexPage(10_000))
@@ -192,6 +196,8 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 			record("EngineStudy/parallel-matrix", matrix),
 			record("EngineStudy/sketch", sketchStudy),
 			record("BootstrapCompare", cmpBench),
+			record("BootstrapCompare/N=10", cmp10),
+			record("BootstrapCompare/N=16", cmp16),
 			record("ServerGetStudy", serve),
 			record("ServerStudySummary", summary),
 			record("ServerIndexPage/n=10000", index4),
@@ -207,8 +213,10 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	if sketchAdd.AllocsPerOp() > 0 {
 		t.Errorf("Sketch.Add allocates %d/op at steady state, want 0", sketchAdd.AllocsPerOp())
 	}
-	if cmpBench.AllocsPerOp() != 0 {
-		t.Errorf("Bootstrap.Compare allocates %d/op after warm-up, want 0", cmpBench.AllocsPerOp())
+	for _, r := range []testing.BenchmarkResult{cmpBench, cmp10, cmp16} {
+		if r.AllocsPerOp() != 0 {
+			t.Errorf("Bootstrap.Compare allocates %d/op after warm-up, want 0", r.AllocsPerOp())
+		}
 	}
 
 	// Bootstrap kernel, old vs new, at every spec-admissible sample size;

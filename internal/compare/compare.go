@@ -120,10 +120,18 @@ type SortedComparator interface {
 // kernel, and all configured quantiles of a resample are read off the
 // sorted base in one batched prefix walk (BootKernel.Quantiles) — O(N) per
 // round instead of the insertion sort's O(N²), bit-identical outcomes. The
-// walk needs ascending quantiles, so each call sorts a copy of Quantiles;
-// since a win counts 1 or ½ whatever order the quantiles are visited in,
-// the list's order never changes a result. A quantile that is NaN or
-// outside [0, 1] fails the call with ErrBadQuantile.
+// walk needs ascending quantiles, so each call sorts a copy of Quantiles
+// and plans it once per side (stats.PlanQuantiles); since a win counts 1
+// or ½ whatever order the quantiles are visited in, the list's order never
+// changes a result. A quantile that is NaN or outside [0, 1] fails the
+// call with ErrBadQuantile.
+//
+// Compare and CompareSorted seal: once the wins so far fix the outcome
+// whatever the remaining rounds score, those rounds only draw (a, then b)
+// and are not scored, so the outcome and the generator state after the
+// call equal thresholding the full win rate. WinRate and WinRateSorted
+// score every round and return the exact rate.
+//
 // Kernels are cached across Compare calls (keyed by sample identity), so
 // repeated comparisons of the same measurement sets — cluster repetitions,
 // matrix pre-pass trials, race rounds — sort each sample once, ever. The
@@ -155,12 +163,15 @@ type Bootstrap struct {
 	sortedKernels map[*stats.SortedSample]*stats.BootKernel
 	aliasKernels  map[*stats.BootKernel]*stats.BootKernel
 
-	// inline is winRate's scratch for up to four quantiles: the ascending
-	// copy of Quantiles and each side's values per round. It lives in the
-	// comparator itself so a Fork costs no allocation beyond the struct;
-	// longer lists use scratch, grown once and reused.
-	inline  [3 * 4]float64
-	scratch []float64
+	// inline and inlineSteps are score's scratch for up to four
+	// quantiles: the ascending copy of Quantiles, each side's values per
+	// round and each side's quantile plan. They live in the comparator
+	// itself so a Fork costs no allocation beyond the struct; longer lists
+	// use scratch and scratchSteps, grown once and reused.
+	inline       [3 * 4]float64
+	inlineSteps  [2 * 4]stats.QuantileStep
+	scratch      []float64
+	scratchSteps []stats.QuantileStep
 }
 
 // rawKernel is a cached kernel plus three probe values from the sample it
@@ -275,29 +286,40 @@ func (c *Bootstrap) aliasKernel(k *stats.BootKernel) *stats.BootKernel {
 	return twin
 }
 
-// winRate is the shared index-space hot loop: per round one index resample
+// score is the shared index-space hot loop: per round one index resample
 // per side on the comparator's single RNG stream (a first, then b — the
 // identical draw order of the classic kernel), then one batched quantile
-// walk per side over the ascending copy of Quantiles. Aliased sides get
-// independent twin kernels so a sample compared against itself still
-// draws two independent resamples per round, as the classic kernel did.
-func (c *Bootstrap) winRate(ka, kb *stats.BootKernel) (float64, error) {
+// read per side over that side's plan of the ascending copy of Quantiles.
+// It returns the wins in halves (a win adds 2, a tie 1) and the number of
+// quantile comparisons, Rounds·k, so the win rate is half/2/total. Aliased
+// sides get independent twin kernels so a sample compared against itself
+// still draws two independent resamples per round, as the classic kernel
+// did.
+//
+// With seal set, scoring stops at the first round where even winning every
+// remaining comparison could not move the rate across a threshold:
+// threshold is monotone in the win count, so the outcome of the partial
+// count is then the outcome of the full one. The remaining rounds only
+// Skip, a then b, so the generator ends where the full loop leaves it.
+// The rate of a sealed count is not the full rate; only its outcome is.
+func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int, err error) {
 	qs := c.Quantiles
 	if len(qs) == 0 {
 		qs = DefaultQuantiles
 	}
 	k := len(qs)
-	buf := c.inline[:]
+	buf, steps := c.inline[:], c.inlineSteps[:]
 	if 3*k > len(buf) {
 		if len(c.scratch) < 3*k {
 			c.scratch = make([]float64, 3*k)
+			c.scratchSteps = make([]stats.QuantileStep, 2*k)
 		}
-		buf = c.scratch
+		buf, steps = c.scratch, c.scratchSteps
 	}
 	sorted, qa, qb := buf[:k], buf[k:2*k], buf[2*k:3*k]
 	for i, q := range qs {
 		if !(q >= 0 && q <= 1) {
-			return 0, fmt.Errorf("%w: %v", ErrBadQuantile, q)
+			return 0, 0, fmt.Errorf("%w: %v", ErrBadQuantile, q)
 		}
 		sorted[i] = q
 	}
@@ -305,37 +327,100 @@ func (c *Bootstrap) winRate(ka, kb *stats.BootKernel) (float64, error) {
 	if ka == kb {
 		kb = c.aliasKernel(ka)
 	}
+	na, nb := ka.Base().N(), kb.Base().N()
+	planA := stats.PlanQuantiles(sorted, na, steps[:k])
+	planB := planA
+	if nb != na {
+		planB = stats.PlanQuantiles(sorted, nb, steps[k:2*k])
+	}
 	rounds := c.Rounds
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
-	var wins float64
+	total = rounds * k
+	var worse, better int
+	if seal {
+		worse, better = c.sealBounds(total)
+	}
 	for r := 0; r < rounds; r++ {
+		if seal {
+			// Sealed when half and the most the call can still reach
+			// threshold alike.
+			most := half + 2*k*(rounds-r)
+			if half >= better || most <= worse || (half > worse && most < better) {
+				for ; r < rounds; r++ {
+					ka.Skip(c.rng)
+					kb.Skip(c.rng)
+				}
+				break
+			}
+		}
 		ka.Resample(c.rng)
 		kb.Resample(c.rng)
-		ka.Quantiles(sorted, qa)
-		kb.Quantiles(sorted, qb)
+		ka.Quantiles(planA, qa)
+		kb.Quantiles(planB, qb)
 		for i, va := range qa {
 			vb := qb[i]
 			switch {
 			case va < vb:
-				wins++
+				half += 2
 			case va == vb:
-				wins += 0.5
+				half++
 			}
 		}
 	}
-	return wins / float64(rounds*k), nil
+	return half, total, nil
+}
+
+// rate is the win rate of half half-wins over total comparisons: the float
+// expression every outcome is thresholded from. half/2 is exact, so it is
+// the same float the classic kernel's running sum of 1s and ½s gives.
+func rate(half, total int) float64 {
+	return float64(half) / 2 / float64(total)
+}
+
+// sealBounds returns, in half-wins out of total comparisons, the most that
+// still threshold to Worse (-1 if none does) and the fewest that threshold
+// to Better (2·total+1 if none does). threshold∘rate is monotone in the
+// count, so two binary searches over the very expression Compare
+// thresholds find both exactly, once per call instead of two threshold
+// calls per round.
+func (c *Bootstrap) sealBounds(total int) (worse, better int) {
+	lo, hi := -1, 2*total
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if c.threshold(rate(mid, total)) == Worse {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	worse = lo
+	lo, hi = 0, 2*total+1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c.threshold(rate(mid, total)) == Better {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return worse, lo
 }
 
 // WinRate runs the bootstrap and returns the aggregate rate at which a beats
-// b across rounds and quantiles. Exposed for diagnostics and tests; Compare
-// thresholds this value.
+// b across rounds and quantiles. Exposed for diagnostics and tests; it
+// scores every round, so the rate is exact, and Compare's outcome is always
+// the threshold of this value.
 func (c *Bootstrap) WinRate(a, b []float64) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, ErrBadSample
 	}
-	return c.winRate(c.kernelForRaw(a), c.kernelForRaw(b))
+	half, total, err := c.score(c.kernelForRaw(a), c.kernelForRaw(b), false)
+	if err != nil {
+		return 0, err
+	}
+	return rate(half, total), nil
 }
 
 // WinRateSorted is WinRate over pre-sorted views, bit-identical to WinRate
@@ -344,7 +429,11 @@ func (c *Bootstrap) WinRateSorted(a, b *stats.SortedSample) (float64, error) {
 	if a.N() == 0 || b.N() == 0 {
 		return 0, ErrBadSample
 	}
-	return c.winRate(c.kernelForSorted(a), c.kernelForSorted(b))
+	half, total, err := c.score(c.kernelForSorted(a), c.kernelForSorted(b), false)
+	if err != nil {
+		return 0, err
+	}
+	return rate(half, total), nil
 }
 
 // threshold maps a win rate onto the three-way outcome.
@@ -363,22 +452,31 @@ func (c *Bootstrap) threshold(r float64) Outcome {
 	}
 }
 
-// Compare implements Comparator.
+// Compare implements Comparator. It seals (see score): rounds past a fixed
+// outcome only advance the generator, so the outcome and the generator
+// state after the call are those of thresholding WinRate.
 func (c *Bootstrap) Compare(a, b []float64) (Outcome, error) {
-	r, err := c.WinRate(a, b)
-	if err != nil {
-		return Equivalent, err
+	if len(a) == 0 || len(b) == 0 {
+		return Equivalent, ErrBadSample
 	}
-	return c.threshold(r), nil
+	return c.sealed(c.kernelForRaw(a), c.kernelForRaw(b))
 }
 
-// CompareSorted implements SortedComparator.
+// CompareSorted implements SortedComparator, sealing like Compare.
 func (c *Bootstrap) CompareSorted(a, b *stats.SortedSample) (Outcome, error) {
-	r, err := c.WinRateSorted(a, b)
+	if a.N() == 0 || b.N() == 0 {
+		return Equivalent, ErrBadSample
+	}
+	return c.sealed(c.kernelForSorted(a), c.kernelForSorted(b))
+}
+
+// sealed thresholds a sealing score of ka against kb.
+func (c *Bootstrap) sealed(ka, kb *stats.BootKernel) (Outcome, error) {
+	half, total, err := c.score(ka, kb, true)
 	if err != nil {
 		return Equivalent, err
 	}
-	return c.threshold(r), nil
+	return c.threshold(rate(half, total)), nil
 }
 
 // KS is a deterministic comparator: two samples differ when the two-sample

@@ -46,20 +46,21 @@ func (p *Pool) Workers() int { return cap(p.sem) }
 // GOMAXPROCS), and workers is otherwise ignored. Results do not depend on
 // the budget, the width, or what else runs on the pool concurrently.
 //
-// After any unit fails, dispatch stops and not-yet-started units never run
-// — the caller discards all outputs on error, so the short-circuit cannot
-// affect determinism of successful runs (which error surfaces may vary with
-// scheduling; that an error surfaces does not). When ctx is cancelled,
-// dispatch stops, in-flight units finish, and the context's error is
-// returned unless a unit failed first; a nil ctx means Background. Results
-// are collected by index, never by completion order.
+// Workers claim the next index from a shared atomic counter, so handing
+// out a unit costs one atomic add rather than a channel handoff: units of
+// a few µs pay no dispatcher. After any unit fails, not-yet-started units
+// never run — the caller discards all outputs on error, so the
+// short-circuit cannot affect determinism of successful runs (which error
+// surfaces may vary with scheduling; that an error surfaces does not).
+// When ctx is cancelled, no further unit starts, in-flight units finish,
+// and the context's error is returned unless a unit failed first; a nil
+// ctx means Background. Results are collected by index, never by
+// completion order.
 func ForEach(ctx context.Context, p *Pool, n, workers int, fn func(i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// With a pool, every unit holds one of its tokens while it runs. The
-	// dispatcher stops feeding indices as soon as any unit fails or ctx is
-	// cancelled.
+	// With a pool, every unit holds one of its tokens while it runs.
 	var sem chan struct{}
 	if p != nil {
 		sem, workers = p.sem, cap(p.sem)
@@ -81,6 +82,10 @@ func ForEach(ctx context.Context, p *Pool, n, workers int, fn func(i int) error)
 		firstIdx int
 	)
 	var failed atomic.Bool
+	// stop is closed on the first unit failure so workers waiting for a
+	// pool token quit instead of queueing behind unrelated token holders.
+	stop := make(chan struct{})
+	var stopOnce sync.Once
 	record := func(i int, err error) {
 		errMu.Lock()
 		if firstErr == nil || i < firstIdx {
@@ -88,63 +93,59 @@ func ForEach(ctx context.Context, p *Pool, n, workers int, fn func(i int) error)
 		}
 		errMu.Unlock()
 		failed.Store(true)
+		stopOnce.Do(func() { close(stop) })
 	}
-	// stop is closed on the first unit failure so the dispatcher quits
-	// without waiting for a worker to come back for another index.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
 	done := ctx.Done()
-	jobs := make(chan int)
+	// halted reports whether no further unit may start: one failed or ctx
+	// was cancelled.
+	halted := func() bool {
+		if failed.Load() {
+			return true
+		}
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	var next atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue
+			for !halted() {
+				i := next.Add(1) - 1
+				if i >= uint64(n) {
+					return
 				}
 				if sem != nil {
 					select {
 					case sem <- struct{}{}:
 					case <-stop:
-						// Another unit of this fan-out already failed; don't
-						// keep waiting behind unrelated token holders.
-						continue
+						return
 					case <-done:
-						halt()
-						continue
+						return
 					}
 					// The budget wait may have been long; re-check so a
-					// failure elsewhere skips this unit too.
-					if failed.Load() {
+					// failure or cancellation meanwhile skips this unit.
+					if halted() {
 						<-sem
-						continue
+						return
 					}
 				}
-				err := fn(i)
+				err := fn(int(i))
 				if sem != nil {
 					<-sem
 				}
 				if err != nil {
-					record(i, err)
-					halt()
+					record(int(i), err)
+					return
 				}
 			}
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-stop:
-			break dispatch
-		case <-done:
-			break dispatch
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr

@@ -74,11 +74,10 @@ func TestForEachSkipsAfterFailure(t *testing.T) {
 }
 
 // TestForEachStopsDispatchAfterFailure is the regression test for the
-// dispatcher short-circuit: after an early failure the remaining indices
-// must not be dispatched at all. The range is large enough that draining it
-// through the jobs channel (the old behaviour) would dominate the runtime,
-// while the executed-unit count bounds how much work escaped before the
-// halt propagated.
+// short-circuit: after an early failure the remaining indices must not be
+// claimed at all. The range is large enough that walking it to the end
+// would dominate the runtime, while the executed-unit count bounds how
+// much work escaped before the halt propagated.
 func TestForEachStopsDispatchAfterFailure(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4, 16} {
@@ -93,11 +92,11 @@ func TestForEachStopsDispatchAfterFailure(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatal(err)
 		}
-		// The real regression signal is that this test returns at all: the
-		// old dispatcher drained the full 2^30 range through the jobs
-		// channel. The executed-unit bound is deliberately loose — workers
-		// may churn units until the failing goroutine gets scheduled — but
-		// must stay far below the range size.
+		// The real regression signal is that this test returns at all:
+		// running out the full 2^30 range takes minutes. The executed-unit
+		// bound is deliberately loose — workers may churn units until the
+		// failing goroutine gets scheduled — but must stay far below the
+		// range size.
 		if int(ran) > 1<<20 {
 			t.Fatalf("workers=%d: %d units ran after early failure", workers, ran)
 		}
@@ -186,4 +185,52 @@ func TestPoolForEachError(t *testing.T) {
 	if int(ran) > 1<<20 {
 		t.Fatalf("%d units ran after early failure", ran)
 	}
+}
+
+// spinUnit burns about a microsecond of CPU without touching shared
+// memory: the size of the finest units callers fan out (one checkpoint
+// record validated, one small resample), where the cost of handing out an
+// index is visible.
+func spinUnit(i int) error {
+	x := uint64(i) + 1
+	for j := 0; j < 400; j++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	if x == 0 { // xorshift never maps a non-zero word to 0
+		return errors.New("unreachable")
+	}
+	return nil
+}
+
+// BenchmarkForEachTinyUnits fans 10⁴ units of about 1 µs out at
+// GOMAXPROCS width, on a transient pool and on a shared one: per-unit
+// overhead of ForEach at the grain where it matters most.
+func BenchmarkForEachTinyUnits(b *testing.B) {
+	const units = 10_000
+	b.Run("transient", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := ForEach(context.Background(), nil, units, 0, spinUnit); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pool", func(b *testing.B) {
+		p := NewPool(0)
+		for i := 0; i < b.N; i++ {
+			if err := ForEach(context.Background(), p, units, 0, spinUnit); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("serial-baseline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for u := 0; u < units; u++ {
+				if err := spinUnit(u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -4,9 +4,9 @@ package stats_test
 // determinism contract on arbitrary input: for any sample (ties, NaN, ±Inf,
 // N = 0, 1, 2, ...), any generator seed and any ascending quantile list
 // that includes 0 and 1, one index-space resample read by one
-// BootKernel.Quantiles walk equals QuantileSorted over the value-space
-// xrand.Resample of the same generator state, NaN for NaN, and both paths
-// leave the generator in the same state.
+// BootKernel.Quantiles walk of the list's PlanQuantiles plan equals
+// QuantileSorted over the value-space xrand.Resample of the same generator
+// state, NaN for NaN, and both paths leave the generator in the same state.
 
 import (
 	"encoding/binary"
@@ -66,6 +66,7 @@ func FuzzBootKernelQuantiles(f *testing.F) {
 		qs := fuzzQuantiles(qraw)
 
 		k := stats.NewBootKernel(stats.NewSortedSample(xs))
+		plan := stats.PlanQuantiles(qs, n, nil)
 		rngIdx, rngVal := xrand.New(seed), xrand.New(seed)
 		buf := make([]float64, n)
 		got := make([]float64, len(qs))
@@ -74,7 +75,7 @@ func FuzzBootKernelQuantiles(f *testing.F) {
 			rngVal.Resample(buf, xs)
 			// sort.Float64s orders NaNs first, as NewSortedSample does.
 			sort.Float64s(buf)
-			k.Quantiles(qs, got)
+			k.Quantiles(plan, got)
 			for i, q := range qs {
 				want := stats.QuantileSorted(buf, q)
 				if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {

@@ -54,7 +54,7 @@ func TestSortedSampleValuesAndRanks(t *testing.T) {
 func assertQuantilesMatch(t *testing.T, k *BootKernel, sorted, qs []float64, ctx string) {
 	t.Helper()
 	got := make([]float64, len(qs))
-	k.Quantiles(qs, got)
+	k.Quantiles(PlanQuantiles(qs, k.Base().N(), nil), got)
 	for i, q := range qs {
 		want := QuantileSorted(sorted, q)
 		if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
@@ -70,7 +70,7 @@ func assertQuantilesMatch(t *testing.T, k *BootKernel, sorted, qs []float64, ctx
 // quantiles read the statistics the walk already stands on.
 func TestBootKernelMatchesValueSpaceResample(t *testing.T) {
 	qs := []float64{0, 0, 0.01, 0.25, 0.5, 0.5, 0.75, 0.99, 1, 1}
-	for _, n := range []int{1, 2, 3, 10, 50, 500, 5000} {
+	for _, n := range []int{1, 2, 3, 10, 50, expandMaxN, expandMaxN + 1, 500, 5000} {
 		xs := lognormalSample(xrand.New(uint64(n)), n)
 		k := NewBootKernel(NewSortedSample(xs))
 		rngIdx := xrand.New(42)
@@ -124,35 +124,48 @@ func TestBootKernelQuantileEdgeCases(t *testing.T) {
 	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
 	k.Resample(xrand.New(1))
 	out := make([]float64, 4)
-	k.Quantiles([]float64{-0.1, 0.5, math.NaN(), 1.1}, out)
+	k.Quantiles(PlanQuantiles([]float64{-0.1, 0.5, math.NaN(), 1.1}, 3, nil), out)
 	if !math.IsNaN(out[0]) || math.IsNaN(out[1]) || !math.IsNaN(out[2]) || !math.IsNaN(out[3]) {
 		t.Fatalf("out-of-range and NaN q must yield NaN, in-range q a value: %v", out)
 	}
 	empty := NewBootKernel(NewSortedSample(nil))
 	empty.Resample(xrand.New(1))
-	empty.Quantiles([]float64{0.5}, out)
+	empty.Quantiles(PlanQuantiles([]float64{0.5}, 0, nil), out)
 	if !math.IsNaN(out[0]) {
 		t.Fatal("empty kernel must yield NaN")
 	}
 	one := NewBootKernel(NewSortedSample([]float64{7}))
 	one.Resample(xrand.New(2))
-	one.Quantiles([]float64{0, 0.5, 1}, out)
+	one.Quantiles(PlanQuantiles([]float64{0, 0.5, 1}, 1, nil), out)
 	if out[0] != 7 || out[1] != 7 || out[2] != 7 {
 		t.Fatalf("single-element kernel must return the element: %v", out[:3])
 	}
 }
 
 // TestBootKernelQuantilesRejectsDescending: the walk only moves forward, so
-// a descending list is a caller bug that must not return wrong values.
+// a descending list is a caller bug that must not return wrong values; the
+// plan refuses it before any walk.
 func TestBootKernelQuantilesRejectsDescending(t *testing.T) {
-	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
-	k.Resample(xrand.New(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("descending quantiles did not panic")
 		}
 	}()
-	k.Quantiles([]float64{0.75, 0.25}, make([]float64, 2))
+	PlanQuantiles([]float64{0.75, 0.25}, 3, nil)
+}
+
+// TestBootKernelQuantilesRejectsForeignPlan: a plan fixes the ranks of one
+// sample size, so reading it off a kernel of another size must panic
+// rather than return the wrong order statistics.
+func TestBootKernelQuantilesRejectsForeignPlan(t *testing.T) {
+	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
+	k.Resample(xrand.New(1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a plan for N=4 was read off an N=3 kernel")
+		}
+	}()
+	k.Quantiles(PlanQuantiles([]float64{0.5}, 4, nil), make([]float64, 1))
 }
 
 // TestBootKernelResampleDrawSequence: the kernel must consume exactly the
@@ -174,16 +187,41 @@ func TestBootKernelResampleDrawSequence(t *testing.T) {
 	}
 }
 
+// TestBootKernelSkipDrawSequence: Skip must advance the generator exactly
+// as Resample does and leave the last resample's counts untouched, so a
+// comparison that stops scoring early still ends on the full loop's stream.
+func TestBootKernelSkipDrawSequence(t *testing.T) {
+	xs := lognormalSample(xrand.New(5), 25)
+	k := NewBootKernel(NewSortedSample(xs))
+	skipped, drawn := xrand.New(12), xrand.New(12)
+	k.Resample(skipped)
+	drawn.Resample(make([]float64, len(xs)), xs)
+	before := append([]int32(nil), k.counts...)
+	buf := make([]float64, len(xs))
+	for round := 0; round < 10; round++ {
+		k.Skip(skipped)
+		drawn.Resample(buf, xs)
+	}
+	if skipped.Uint64() != drawn.Uint64() {
+		t.Fatal("Skip consumed a different number of draws than Resample")
+	}
+	for r, c := range k.counts {
+		if c != before[r] {
+			t.Fatalf("Skip changed counts[%d]: %d -> %d", r, before[r], c)
+		}
+	}
+}
+
 func BenchmarkBootKernelResampleQuantiles(b *testing.B) {
 	xs := lognormalSample(xrand.New(1), 500)
 	k := NewBootKernel(NewSortedSample(xs))
 	rng := xrand.New(2)
-	qs := []float64{0.25, 0.5, 0.75}
-	out := make([]float64, len(qs))
+	plan := PlanQuantiles([]float64{0.25, 0.5, 0.75}, len(xs), nil)
+	out := make([]float64, len(plan.steps))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Resample(rng)
-		k.Quantiles(qs, out)
+		k.Quantiles(plan, out)
 	}
 }

@@ -122,6 +122,40 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
+// Intns fills dst with exactly the values of len(dst) successive Intn(n)
+// calls and leaves the generator where those calls would. The state words
+// stay in locals for the whole batch instead of a load and store per draw,
+// and Lemire's rejection bound (-n) mod n is computed once: Intn's extra
+// `lo >= n` test only skips that modulo, since the bound is below n. An
+// empty dst is a no-op for any n; otherwise it panics if n <= 0.
+func (r *Rand) Intns(dst []int, n int) {
+	if len(dst) == 0 {
+		return
+	}
+	if n <= 0 {
+		panic("xrand: Intns with non-positive n")
+	}
+	bound := uint64(n)
+	reject := -bound % bound
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i < len(dst); {
+		v := bits.RotateLeft64(s0+s3, 23) + s0
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		hi, lo := bits.Mul64(v, bound)
+		if lo >= reject {
+			dst[i] = int(hi)
+			i++
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -455,3 +455,68 @@ func TestNewKeyedIndependentStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestIntnsMatchesIntn: a batch is exactly the draws of successive Intn
+// calls and leaves the generator where they would. At 3<<61 Lemire's method
+// rejects about a quarter of the raw words, so the rejection branch runs
+// inside the batch many times.
+func TestIntnsMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 16, 1 << 20, 3 << 61} {
+		for _, size := range []int{1, 7, 64, 1000} {
+			batch, single := New(uint64(n)+uint64(size)), New(uint64(n)+uint64(size))
+			got := make([]int, size)
+			batch.Intns(got, n)
+			for i, v := range got {
+				if want := single.Intn(n); v != want {
+					t.Fatalf("n=%d size=%d: draw %d = %d, Intn gives %d", n, size, i, v, want)
+				}
+			}
+			if batch.Uint64() != single.Uint64() {
+				t.Fatalf("n=%d size=%d: generators diverged after the batch", n, size)
+			}
+		}
+	}
+}
+
+// TestIntnsEmpty: an empty batch draws nothing, whatever n is, so a
+// zero-size resample stays a no-op as the per-draw loop was.
+func TestIntnsEmpty(t *testing.T) {
+	a, b := New(3), New(3)
+	a.Intns(nil, 0)
+	a.Intns([]int{}, 5)
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("an empty batch advanced the generator")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Intns with n = 0 did not panic")
+		}
+	}()
+	a.Intns(make([]int, 1), 0)
+}
+
+// FuzzIntns holds a batch to successive Intn calls for any seed, any
+// positive bound and batch sizes up to 2047.
+func FuzzIntns(f *testing.F) {
+	f.Add(uint64(1), uint64(1), uint16(1))
+	f.Add(uint64(2), uint64(10), uint16(30))
+	f.Add(uint64(3), uint64(3<<61), uint16(100))
+	f.Add(uint64(4), uint64(1<<62+1), uint16(17))
+	f.Fuzz(func(t *testing.T, seed, n uint64, size uint16) {
+		bound := int(n &^ (1 << 63)) // any positive int
+		if bound == 0 {
+			bound = 1
+		}
+		batch, single := New(seed), New(seed)
+		got := make([]int, size%2048)
+		batch.Intns(got, bound)
+		for i, v := range got {
+			if want := single.Intn(bound); v != want {
+				t.Fatalf("n=%d: draw %d = %d, Intn gives %d", bound, i, v, want)
+			}
+		}
+		if batch.Uint64() != single.Uint64() {
+			t.Fatalf("n=%d size=%d: generators diverged after the batch", bound, len(got))
+		}
+	})
+}
