@@ -118,9 +118,9 @@ type SortedComparator interface {
 // sorted exactly once, resamples are drawn as counted index multisets on
 // the identical xrand draw sequence as the classic materialize-and-sort
 // kernel, and all configured quantiles of a resample are read off the
-// sorted base in one batched prefix walk (BootKernel.Quantiles) — O(N) per
-// round instead of the insertion sort's O(N²), bit-identical outcomes. The
-// walk needs ascending quantiles, so each call sorts a copy of Quantiles
+// sorted base in one batched pass (BootKernel.Quantiles) — O(N) per round
+// instead of the insertion sort's O(N²), bit-identical outcomes. The pass
+// needs ascending quantiles, so each call sorts a copy of Quantiles
 // and plans it once per side (stats.PlanQuantiles); since a win counts 1
 // or ½ whatever order the quantiles are visited in, the list's order never
 // changes a result. A quantile that is NaN or outside [0, 1] fails the
@@ -163,16 +163,20 @@ type Bootstrap struct {
 	sortedKernels map[*stats.SortedSample]*stats.BootKernel
 	aliasKernels  map[*stats.BootKernel]*stats.BootKernel
 
-	// inline and inlineSteps are score's scratch for up to four
-	// quantiles: the ascending copy of Quantiles, each side's values per
-	// round and each side's quantile plan. They live in the comparator
-	// itself so a Fork costs no allocation beyond the struct; longer lists
-	// use scratch and scratchSteps, grown once and reused.
-	inline       [3 * 4]float64
-	inlineSteps  [2 * 4]stats.QuantileStep
+	// scratch, scratchSteps and ranks are score's scratch for calls too
+	// large for its stack buffers, grown once and reused.
 	scratch      []float64
 	scratchSteps []stats.QuantileStep
+	ranks        []int32
 }
+
+// Sizes of score's stack scratch: quantile lists of up to stackQuantiles
+// entries and samples whose stats.RanksLen fits stackRanks (up to 60
+// measurements) cost neither a call nor a Fork any allocation.
+const (
+	stackQuantiles = 4
+	stackRanks     = 64
+)
 
 // rawKernel is a cached kernel plus three probe values from the sample it
 // was built over. A cache hit re-checks the probes, so the common misuse —
@@ -308,8 +312,12 @@ func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int,
 		qs = DefaultQuantiles
 	}
 	k := len(qs)
-	buf, steps := c.inline[:], c.inlineSteps[:]
-	if 3*k > len(buf) {
+	// The ascending copy of Quantiles, each side's values per round and
+	// each side's quantile plan.
+	var quantBuf [3 * stackQuantiles]float64
+	var stepBuf [2 * stackQuantiles]stats.QuantileStep
+	buf, steps := quantBuf[:], stepBuf[:]
+	if k > stackQuantiles {
 		if len(c.scratch) < 3*k {
 			c.scratch = make([]float64, 3*k)
 			c.scratchSteps = make([]stats.QuantileStep, 2*k)
@@ -328,6 +336,16 @@ func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int,
 		kb = c.aliasKernel(ka)
 	}
 	na, nb := ka.Base().N(), kb.Base().N()
+	// Both sides write their sorted resample into one ranks scratch: the
+	// kernels run one after the other.
+	var rankBuf [stackRanks]int32
+	ranks := rankBuf[:]
+	if need := stats.RanksLen(max(na, nb)); need > len(ranks) {
+		if len(c.ranks) < need {
+			c.ranks = make([]int32, need)
+		}
+		ranks = c.ranks
+	}
 	planA := stats.PlanQuantiles(sorted, na, steps[:k])
 	planB := planA
 	if nb != na {
@@ -357,8 +375,8 @@ func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int,
 		}
 		ka.Resample(c.rng)
 		kb.Resample(c.rng)
-		ka.Quantiles(planA, qa)
-		kb.Quantiles(planB, qb)
+		ka.Quantiles(planA, ranks, qa)
+		kb.Quantiles(planB, ranks, qb)
 		for i, va := range qa {
 			vb := qb[i]
 			switch {

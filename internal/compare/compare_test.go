@@ -161,7 +161,7 @@ func TestBootstrapBadQuantile(t *testing.T) {
 		{math.Inf(1)},
 		{0.25, 0.5, 1.0000001},
 		{0.5, math.NaN(), 0.75},
-		{0.1, 0.2, 0.3, 0.4, 2}, // past the inline scratch
+		{0.1, 0.2, 0.3, 0.4, 2}, // past the stack scratch
 	} {
 		c := NewBootstrap(1)
 		c.Quantiles = qs

@@ -142,8 +142,9 @@ func TestBootstrapSealedCompareMatchesWinRate(t *testing.T) {
 					ks = sealed.kernelForSorted(sa)
 				}
 				plan := stats.PlanQuantiles(probe, na, nil)
-				ks.Quantiles(plan, gotQ)
-				kf.Quantiles(plan, wantQ)
+				ranks := make([]int32, stats.RanksLen(na))
+				ks.Quantiles(plan, ranks, gotQ)
+				kf.Quantiles(plan, ranks, wantQ)
 				for i := range gotQ {
 					if gotQ[i] != wantQ[i] {
 						stale++

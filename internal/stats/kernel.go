@@ -19,17 +19,17 @@ import (
 // described by a multiset of base indices: sort the base once, map each
 // drawn index to its rank in the sorted base, counting-sort the rank
 // multiset in O(N), and read every requested quantile off the sorted base
-// values in one forward pass over the counts (Quantiles): a walk that
-// visits ranks in ascending order and stops at the highest requested rank,
-// or, for samples of at most expandMaxN, an expansion of the sorted
-// resample with no data-dependent branch, read by position. Either way an
-// ascending quantile list costs one pass however many quantiles it holds.
-// What is fixed for a sample size — each quantile's rank and interpolation
+// values (Quantiles) by writing out the sorted resample as ranks, a fixed
+// block of stores per rank with no data-dependent branch, and reading each
+// quantile's two bracketing order statistics by position. The write-out
+// stops past the highest position the quantile list reads, so an
+// ascending list costs one pass however many quantiles it holds. What is
+// fixed for a sample size — each quantile's position and interpolation
 // weight, and the list's checks — is a QuantilePlan built once per
-// comparison, not once per round. The N draws of a round are one
-// xrand.Rand.Intns batch with the generator state in registers. Per round
-// that leaves the batch, the N-slot reset and one pass; a round whose
-// outcome no longer matters only draws (Skip).
+// comparison, not once per round. A round's N draws are xrand.Rand.Intns
+// batches with the generator state in registers. Per round that leaves
+// the batches, the N-slot reset and one write-out; a round whose outcome
+// no longer matters only draws (Skip).
 //
 // Determinism contract: the kernel consumes the exact xrand draw sequence
 // of xrand.Rand.Resample (len(base) Intn(len(base)) calls per resample,
@@ -37,8 +37,9 @@ import (
 // every order statistic of the value-sorted resample — the drawn value for
 // index i is base[i] = Sorted()[rank[i]], so the sorted resample is the
 // same float64 sequence either way, and the quantile interpolation below
-// is the same arithmetic as QuantileSorted. A value-space reference implementation lives in the tests, the fuzz
-// target and the benchmark suite to keep this equivalence pinned.
+// is the same arithmetic as QuantileSorted. A value-space reference
+// implementation lives in the tests, the fuzz target and the benchmark
+// suite to keep this equivalence pinned.
 
 // SortedSample is a base sample sorted exactly once, together with the
 // original-index → sorted-rank permutation that lets index-space resampling
@@ -89,43 +90,33 @@ func (s *SortedSample) Quantile(q float64) float64 {
 }
 
 // BootKernel draws bootstrap resamples of one SortedSample in index space.
-// It owns the per-resample draw and counting scratch, so one kernel must not
-// be used concurrently; concurrent engines hold one kernel per goroutine
-// over the same shared SortedSample.
+// It owns the per-resample counting scratch, so one kernel must not be used
+// concurrently; concurrent engines hold one kernel per goroutine over the
+// same shared SortedSample.
 type BootKernel struct {
-	base *SortedSample
-	// draws holds the N indices of the latest resample, in draw order.
-	// Once they are counted, expandRuns reuses it for the sorted ranks,
-	// so up to expandMaxN it has expandRun slots of spare capacity.
-	draws  []int
+	base   *SortedSample
 	counts []int32 // counts[r] = multiplicity of sorted rank r in the resample
 }
 
-// expandMaxN is the largest sample size whose quantiles are read off the
-// expanded sorted resample (expandRuns) instead of a walk over the counts. The walk's
-// loop exits and bracket checks are data-dependent branches, a few
-// mispredictions per quantile whatever N is, while expanding costs a fixed
-// run of stores per rank and has no data-dependent branch. On an Intel
-// Xeon with three quantiles, a resample plus its read took 94 ns expanded
-// against 147 ns walked at N = 10, 147 against 214 ns at N = 16 and 234
-// against 280 ns at N = 32; at N = 48 and 64 the two were within
-// run-to-run noise, so larger samples keep the walk, which also stops at
-// the highest planned rank.
-const expandMaxN = 32
+// drawBatch is how many draws Resample and Skip take per xrand.Rand.Intns
+// call. The batch lives on the stack, so a kernel holds no draw buffer,
+// and one batch covers a whole resample for the usual sample sizes.
+const drawBatch = 32
 
-// expandRun is how many positions of a rank's run expandRuns stores
-// unconditionally: a resample count is about Poisson(1), so four cover all
-// but about 2% of ranks and only those take the copy loop.
-const expandRun = 4
+// rankRun is the block of positions Quantiles stores for every rank when
+// it writes out the sorted resample. A resample count is about Poisson(1),
+// so a block of four covers all but about 0.4% of ranks and only those
+// take the copy loop; the next rank's block overwrites the excess.
+type rankRun = [4]int32
+
+// RanksLen is the length of the rank scratch Quantiles needs for samples
+// of size n: the sorted resample plus the slack the last rank's block
+// may overrun.
+func RanksLen(n int) int { return n + len(rankRun{}) }
 
 // NewBootKernel returns a kernel over base.
 func NewBootKernel(base *SortedSample) *BootKernel {
-	n := base.N()
-	spare := 0
-	if n <= expandMaxN {
-		spare = expandRun
-	}
-	return &BootKernel{base: base, draws: make([]int, n, n+spare), counts: make([]int32, n)}
+	return &BootKernel{base: base, counts: make([]int32, base.N())}
 }
 
 // Base returns the shared sorted sample the kernel resamples. Engines that
@@ -136,17 +127,21 @@ func (k *BootKernel) Base() *SortedSample { return k.base }
 // Resample draws one bootstrap resample (size N, with replacement) as an
 // index multiset, consuming exactly the draw sequence of
 // xrand.Rand.Resample over the original sample: the N draws of Intn(N),
-// taken in one xrand.Rand.Intns batch, each drawn index then mapped to its
+// taken in xrand.Rand.Intns batches, each drawn index then mapped to its
 // sorted rank. The counting sort is implicit — incrementing counts[rank]
 // IS the sort.
 func (k *BootKernel) Resample(rng *xrand.Rand) {
-	draws := k.draws
-	rng.Intns(draws, len(draws))
 	counts := k.counts
 	clear(counts)
 	rank := k.base.rank
-	for _, d := range draws {
-		counts[rank[d]]++
+	n := len(rank)
+	var batch [drawBatch]int
+	for left := n; left > 0; left -= drawBatch {
+		draws := batch[:min(left, drawBatch)]
+		rng.Intns(draws, n)
+		for _, d := range draws {
+			counts[rank[d]]++
+		}
 	}
 }
 
@@ -155,7 +150,11 @@ func (k *BootKernel) Resample(rng *xrand.Rand) {
 // depends on the remaining rounds call it to keep the generator on the
 // stream the full loop would leave.
 func (k *BootKernel) Skip(rng *xrand.Rand) {
-	rng.Intns(k.draws, len(k.draws))
+	n := len(k.counts)
+	var batch [drawBatch]int
+	for left := n; left > 0; left -= drawBatch {
+		rng.Intns(batch[:min(left, drawBatch)], n)
+	}
 }
 
 // QuantileStep is one quantile of a QuantilePlan. PlanQuantiles fills it;
@@ -174,6 +173,7 @@ type QuantileStep struct {
 // BootKernel.Quantiles.
 type QuantilePlan struct {
 	n     int
+	top   int // highest sorted position any step reads; -1 if none
 	steps []QuantileStep
 }
 
@@ -181,10 +181,12 @@ type QuantilePlan struct {
 // size n, building the steps in buf (grown only if it is too short). qs
 // must be ascending; entries that are NaN or outside [0, 1] plan a NaN (as
 // they yield in QuantileSorted) and are skipped by the order check, and
-// every entry plans a NaN when n is 0. It panics on a descending list: the
-// walk that reads the plan only moves forward.
+// every entry plans a NaN when n is 0. It panics on a descending list:
+// Quantiles stops writing out the sorted resample past the last planned
+// quantile's position, so that must be the highest.
 func PlanQuantiles(qs []float64, n int, buf []QuantileStep) QuantilePlan {
 	steps := buf[:0]
+	top := -1
 	prev := 0.0
 	for _, q := range qs {
 		if n == 0 || !(q >= 0 && q <= 1) {
@@ -197,34 +199,50 @@ func PlanQuantiles(qs []float64, n int, buf []QuantileStep) QuantilePlan {
 		prev = q
 		h := q * float64(n-1)
 		lo := int(math.Floor(h))
+		last := lo+1 >= n
 		steps = append(steps, QuantileStep{
 			lo:   int32(lo),
-			last: lo+1 >= n,
+			last: last,
 			frac: h - float64(lo),
 		})
+		top = lo
+		if !last {
+			top = lo + 1
+		}
 	}
-	return QuantilePlan{n: n, steps: steps}
+	return QuantilePlan{n: n, top: top, steps: steps}
 }
 
 // Quantiles fills out[i] with the i-th planned quantile of the current
 // resample, each bit-identical to QuantileSorted over the value-sorted
-// resample. One forward pass over the counts serves every quantile. Up to
-// expandMaxN it writes out the sorted resample and reads each quantile's
-// two bracketing order statistics by position; above, it walks the counts,
-// reads them as it passes them and stops at the highest planned rank. The
-// interpolation is QuantileSorted's arithmetic, so ties, ±Inf and NaN base
-// values come out exactly as they do there. Call it after Resample; the
-// plan must be for the kernel's sample size and out at least as long as
-// the quantile list it was built from.
-func (k *BootKernel) Quantiles(p QuantilePlan, out []float64) {
-	if p.n != len(k.counts) {
+// resample. It writes the sorted resample into ranks — position j holds
+// the sorted rank of the resample's j-th smallest value, each rank r a run
+// of counts[r] positions — one rankRun block per rank, stopping past the
+// plan's highest position, then reads each quantile's two bracketing
+// order statistics by position. The interpolation is QuantileSorted's
+// arithmetic, so ties, ±Inf and NaN base values come out exactly as they
+// do there. Call it after Resample; the plan must be for the kernel's
+// sample size, ranks at least RanksLen(N) long and out at least as long as
+// the quantile list the plan was built from. Kernels used one at a time
+// may share one ranks scratch.
+func (k *BootKernel) Quantiles(p QuantilePlan, ranks []int32, out []float64) {
+	counts := k.counts
+	if p.n != len(counts) {
 		panic("stats: BootKernel.Quantiles plan is for another sample size")
 	}
-	if p.n > expandMaxN {
-		k.walk(p, out)
-		return
+	start := 0 // first position of rank r's run
+	for r, c := range counts {
+		if start > p.top {
+			break
+		}
+		r32 := int32(r)
+		*(*rankRun)(ranks[start:]) = rankRun{r32, r32, r32, r32}
+		end := start + int(c)
+		for j := start + len(rankRun{}); j < end; j++ {
+			ranks[j] = r32
+		}
+		start = end
 	}
-	ranks := k.expandRuns()
 	values := k.base.values
 	for i, st := range p.steps {
 		if st.lo < 0 {
@@ -238,63 +256,6 @@ func (k *BootKernel) Quantiles(p QuantilePlan, out []float64) {
 			continue
 		}
 		vhi := values[ranks[st.lo+1]]
-		out[i] = vlo + st.frac*(vhi-vlo)
-	}
-}
-
-// expandRuns writes the sorted resample as ranks over the counted draws:
-// position j of the result holds the rank of the resample's j-th smallest
-// value, each rank r a run of counts[r] positions. Every rank stores
-// expandRun copies unconditionally, so only the rare longer run branches;
-// the next rank's run overwrites the excess, and the spare capacity past N
-// absorbs it at the end.
-func (k *BootKernel) expandRuns() []int {
-	ranks := k.draws[:cap(k.draws)]
-	start := 0
-	for r, c := range k.counts {
-		run := ranks[start : start+expandRun : start+expandRun]
-		run[0], run[1], run[2], run[3] = r, r, r, r
-		end := start + int(c)
-		for j := start + expandRun; j < end; j++ {
-			ranks[j] = r
-		}
-		start = end
-	}
-	return ranks
-}
-
-// walk is Quantiles for N > expandMaxN: a prefix walk over the counts that
-// reads each quantile's two bracketing order statistics as it passes them.
-func (k *BootKernel) walk(p QuantilePlan, out []float64) {
-	counts := k.counts
-	values := k.base.values
-	r := -1  // rank the walk stands on
-	cum := 0 // draws at ranks <= r
-	for i, st := range p.steps {
-		if st.lo < 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		lo := int(st.lo)
-		for cum <= lo {
-			r++
-			cum += int(counts[r])
-		}
-		vlo := values[r]
-		if st.last {
-			out[i] = vlo
-			continue
-		}
-		vhi := vlo
-		if cum <= lo+1 {
-			// The lo-th statistic exhausted rank r: the hi-th is the
-			// next populated rank.
-			r2 := r + 1
-			for counts[r2] == 0 {
-				r2++
-			}
-			vhi = values[r2]
-		}
 		out[i] = vlo + st.frac*(vhi-vlo)
 	}
 }

@@ -4,7 +4,7 @@ package stats_test
 // determinism contract on arbitrary input: for any sample (ties, NaN, ±Inf,
 // N = 0, 1, 2, ...), any generator seed and any ascending quantile list
 // that includes 0 and 1, one index-space resample read by one
-// BootKernel.Quantiles walk of the list's PlanQuantiles plan equals
+// BootKernel.Quantiles pass over the list's PlanQuantiles plan equals
 // QuantileSorted over the value-space xrand.Resample of the same generator
 // state, NaN for NaN, and both paths leave the generator in the same state.
 
@@ -70,12 +70,13 @@ func FuzzBootKernelQuantiles(f *testing.F) {
 		rngIdx, rngVal := xrand.New(seed), xrand.New(seed)
 		buf := make([]float64, n)
 		got := make([]float64, len(qs))
+		ranks := make([]int32, stats.RanksLen(n))
 		for round := 0; round < 3; round++ {
 			k.Resample(rngIdx)
 			rngVal.Resample(buf, xs)
 			// sort.Float64s orders NaNs first, as NewSortedSample does.
 			sort.Float64s(buf)
-			k.Quantiles(plan, got)
+			k.Quantiles(plan, ranks, got)
 			for i, q := range qs {
 				want := stats.QuantileSorted(buf, q)
 				if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
