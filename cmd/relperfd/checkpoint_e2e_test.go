@@ -8,8 +8,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -36,7 +38,8 @@ func durableGeneration(t *testing.T, bin, walPath, ckPath string, extra ...strin
 
 // TestCheckpointCorruptionStopsDaemon: each kind of checkpoint damage
 // makes the daemon exit non-zero without serving, and its error names the
-// file and the damaged record (or, for a v1 JSON snapshot, the schema).
+// file and the damaged record (or, for a v1 JSON snapshot, a v1 log
+// checkpoint or a v1 WAL, the schema). No refused file is changed.
 func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real daemon binary")
@@ -74,22 +77,29 @@ func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 		return b
 	}
 	flip := append([]byte(nil), clean...)
-	start := int(recs[res].Offset) + bytes.Index(clean[recs[res].Offset:], []byte(`"data":`))
+	// The data follows the fingerprint in the record's frame.
+	start := int(recs[res].Offset) + bytes.Index(clean[recs[res].Offset:], []byte(recs[res].Fingerprint)) + len(recs[res].Fingerprint)
 	i := start + bytes.IndexAny(flip[start:], "123456789")
 	flip[i] = '0' + (flip[i]-'0'+1)%10
 	named := func(i int) []string {
 		return []string{fmt.Sprintf("record %d", i), recs[i].Fingerprint, fmt.Sprintf("byte offset %d", recs[i].Offset)}
 	}
+	// A v1 log: a JSON header and JSON record envelopes, CRC-valid.
+	v1 := frame(nil, []byte(`{"schema":"relperf/wal/v1","seed":7}`))
+	v1 = frame(v1, fmt.Appendf(nil, `{"type":"spec","fp":%q,"data":%s}`, recs[spec].Fingerprint, recs[spec].Data))
 	cases := []struct {
 		name string
 		data []byte
 		want []string
+		wal  []byte // nil: the daemon's own WAL
 	}{
-		{"digit-flip", flip, named(res)},
-		{"spec-rekey", reframe(func(cp []wal.Record) { cp[spec].Fingerprint = recs[res].Fingerprint }), []string{fmt.Sprintf("record %d", spec), recs[res].Fingerprint, fmt.Sprintf("byte offset %d", recs[spec].Offset)}},
-		{"not-a-result", reframe(func(cp []wal.Record) { cp[res].Data = json.RawMessage(`{"not":"a result"}`) }), named(res)},
-		{"truncated", clean[:len(clean)-5], named(res)},
-		{"v1-json", []byte(`{"schema":"relperf/fleet-snapshot/v1","seed":7,"entries":[]}` + "\n"), []string{"relperf/fleet-snapshot/v1"}},
+		{"digit-flip", flip, named(res), nil},
+		{"spec-rekey", reframe(func(cp []wal.Record) { cp[spec].Fingerprint = recs[res].Fingerprint }), []string{fmt.Sprintf("record %d", spec), recs[res].Fingerprint, fmt.Sprintf("byte offset %d", recs[spec].Offset)}, nil},
+		{"not-a-result", reframe(func(cp []wal.Record) { cp[res].Data = json.RawMessage(`{"not":"a result"}`) }), named(res), nil},
+		{"truncated", clean[:len(clean)-5], named(res), nil},
+		{"v1-json", []byte(`{"schema":"relperf/fleet-snapshot/v1","seed":7,"entries":[]}` + "\n"), []string{"relperf/fleet-snapshot/v1"}, nil},
+		{"v1-log-checkpoint", v1, []string{"relperf/wal/v1"}, nil},
+		{"v1-wal", clean, []string{"relperf/wal/v1"}, v1},
 	}
 	walBytes, err := os.ReadFile(walPath)
 	if err != nil {
@@ -98,7 +108,13 @@ func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 	for _, c := range cases {
 		cdir := t.TempDir()
 		cw, ck := filepath.Join(cdir, "relperfd.wal"), filepath.Join(cdir, "relperfd.checkpoint")
-		if err := os.WriteFile(cw, walBytes, 0o644); err != nil {
+		refused := ck
+		if c.wal == nil {
+			c.wal = walBytes
+		} else {
+			refused = cw
+		}
+		if err := os.WriteFile(cw, c.wal, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(ck, c.data, 0o644); err != nil {
@@ -113,12 +129,24 @@ func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 		if bytes.Contains(out, []byte("serving on")) {
 			t.Fatalf("%s: daemon served before refusing its checkpoint\n%s", c.name, out)
 		}
-		for _, part := range append(c.want, ck) {
+		for _, part := range append(c.want, refused) {
 			if !bytes.Contains(out, []byte(part)) {
 				t.Fatalf("%s: error does not name %q\n%s", c.name, part, out)
 			}
 		}
+		for path, want := range map[string][]byte{cw: c.wal, ck: c.data} {
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+				t.Fatalf("%s: the refusing daemon changed %s", c.name, path)
+			}
+		}
 	}
+}
+
+// frame appends a frame around payload: length, CRC32, payload.
+func frame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 // TestTaskJournalSurvivesCheckpointE2E: a WAL-backed coordinator's

@@ -304,7 +304,8 @@ func run(o options) error {
 
 	// Durable state is recovered in layers: the checkpoint is the compacted
 	// base, the WAL is the fsync'd tail on top of it. The WAL opens first
-	// (it validates its seed header and truncates any torn tail), but its
+	// (it validates its seed header, truncates any torn tail and refuses,
+	// untouched, a file it did not write — a v1 log included), but its
 	// records replay only after the checkpoint's — replay order is what
 	// makes "checkpoint then compact" crash-safe, since replaying a record
 	// the checkpoint already holds is an idempotent no-op merge. Both go

@@ -55,6 +55,9 @@ func validate(rec wal.Record, suiteSeed uint64) error {
 	return nil
 }
 
+// replayChunk is how many records one parallel validation unit takes.
+const replayChunk = 64
+
 // ReplayWAL restores records — a WAL tail, a checkpoint or a replica push
 // — into the store. All are validated first, in parallel, and none is
 // applied unless all pass; the error names the lowest failing record's
@@ -66,8 +69,8 @@ func validate(rec wal.Record, suiteSeed uint64) error {
 func ReplayWAL(store *Store, suiteSeed uint64, recs []wal.Record) (ReplayCounts, []wal.Record, error) {
 	var counts ReplayCounts
 	errs := make([]error, len(recs))
-	_ = pool.ForEach(context.Background(), nil, (len(recs)+wal.Chunk-1)/wal.Chunk, 0, func(c int) error {
-		for i := c * wal.Chunk; i < min(len(recs), (c+1)*wal.Chunk); i++ {
+	_ = pool.ForEach(context.Background(), nil, (len(recs)+replayChunk-1)/replayChunk, 0, func(c int) error {
+		for i := c * replayChunk; i < min(len(recs), (c+1)*replayChunk); i++ {
 			errs[i] = validate(recs[i], suiteSeed)
 		}
 		return nil
@@ -99,9 +102,10 @@ func ReplayWAL(store *Store, suiteSeed uint64, recs []wal.Record) (ReplayCounts,
 }
 
 // ReadCheckpoint reads a checkpoint written for seed (SnapshotCut's bytes)
-// with wal.Read, which refuses any torn or corrupt frame. A v1 JSON
-// snapshot, the format before checkpoints were logs, is refused by name:
-// no frame length starts with '{', so the first byte tells them apart.
+// with wal.Read, which refuses any torn or corrupt frame and, by name, a
+// checkpoint in the relperf/wal/v1 log format. A v1 JSON snapshot, the
+// format before checkpoints were logs, is refused by name too: no frame
+// length starts with '{', so the first byte tells them apart.
 func ReadCheckpoint(r io.Reader, seed uint64) ([]wal.Record, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if b, _ := br.Peek(1); len(b) == 1 && b[0] == '{' {

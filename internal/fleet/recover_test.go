@@ -284,7 +284,8 @@ func corruptions(t *testing.T, clean []byte, seed uint64) []corruption {
 
 	// A one-digit flip inside the last result's data, CRC untouched.
 	flip := append([]byte(nil), clean...)
-	start := int(recs[res].Offset) + bytes.Index(clean[recs[res].Offset:], []byte(`"data":`))
+	// The data follows the fingerprint in the record's frame.
+	start := int(recs[res].Offset) + bytes.Index(clean[recs[res].Offset:], []byte(recs[res].Fingerprint)) + len(recs[res].Fingerprint)
 	i := start + bytes.IndexAny(flip[start:], "123456789")
 	flip[i] = '0' + (flip[i]-'0'+1)%10
 

@@ -34,6 +34,12 @@ import (
 // they are the recipes a restarted daemon uses to recompute results the
 // LRU evicted.
 //
+// Every result and spec is held as its WAL record frame (wal.AppendRecord),
+// encoded once when it enters the store: the bytes journaled are those
+// bytes, the blob or spec served is the frame's tail, and a checkpoint is
+// the header followed by a copy of the held frames — no record is encoded
+// or checksummed again.
+//
 // The read paths a dashboard polls are priced per request, not per store:
 // an index page costs O(log n + limit) against a sorted fingerprint list
 // the store maintains incrementally, and a result's summary is encoded
@@ -53,7 +59,7 @@ type Store struct {
 	capacity int
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
-	specs    map[string][]byte
+	specs    map[string]framed
 	// index is every fingerprint the store knows (the union of items and
 	// specs) in ascending order, as of the last settleLocked. Fingerprints
 	// that became known since then wait, unsorted, in tail; stale counts
@@ -73,9 +79,24 @@ type Store struct {
 	merges, conflicts       uint64
 }
 
+// framed is a record's WAL frame and its data, the frame's tail.
+type framed struct {
+	frame, data []byte
+}
+
+// frameRecord encodes a record's frame once, for the journal, the store
+// and every checkpoint.
+func frameRecord(typ, fp string, data []byte) (framed, error) {
+	frame, err := wal.AppendRecord(nil, wal.Record{Type: typ, Fingerprint: fp, Data: data})
+	if err != nil {
+		return framed{}, fmt.Errorf("fleet: framing %s %s: %w", typ, fp, err)
+	}
+	return framed{frame: frame, data: frame[len(frame)-len(data):]}, nil
+}
+
 type storeEntry struct {
-	fp   string
-	blob []byte
+	fp string
+	framed
 	// summary is the encoded GET /summary body for blob, built on the
 	// first request and dropped with the entry on eviction.
 	summary []byte
@@ -88,7 +109,7 @@ func NewStore(capacity int) *Store {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		specs:    make(map[string][]byte),
+		specs:    make(map[string]framed),
 	}
 }
 
@@ -104,7 +125,7 @@ func (s *Store) Get(fp string) ([]byte, bool) {
 	}
 	s.hits++
 	s.ll.MoveToFront(el)
-	return el.Value.(*storeEntry).blob, true
+	return el.Value.(*storeEntry).data, true
 }
 
 // Contains reports whether the fingerprint is cached, without touching the
@@ -129,11 +150,11 @@ func (s *Store) knownLocked(fp string) bool {
 
 // putLocked inserts a new entry and applies the capacity bound. The caller
 // holds mu and has verified fp is absent.
-func (s *Store) putLocked(fp string, blob []byte) {
+func (s *Store) putLocked(fp string, rec framed) {
 	if !s.knownLocked(fp) {
 		s.tail = append(s.tail, fp)
 	}
-	s.items[fp] = s.ll.PushFront(&storeEntry{fp: fp, blob: blob})
+	s.items[fp] = s.ll.PushFront(&storeEntry{fp: fp, framed: rec})
 	for s.capacity > 0 && s.ll.Len() > s.capacity {
 		oldest := s.ll.Back()
 		s.ll.Remove(oldest)
@@ -207,7 +228,7 @@ func (s *Store) Merge(fp string, blob []byte) error {
 	defer s.writeMu.Unlock()
 	s.mu.Lock()
 	if el, ok := s.items[fp]; ok {
-		eq := bytes.Equal(el.Value.(*storeEntry).blob, blob)
+		eq := bytes.Equal(el.Value.(*storeEntry).data, blob)
 		if eq {
 			s.ll.MoveToFront(el)
 			s.merges++
@@ -225,17 +246,22 @@ func (s *Store) Merge(fp string, blob []byte) error {
 	// Journal before inserting: a result the WAL does not hold must not
 	// become servable, or a crash would un-serve bytes a client already
 	// saw. The idempotent path above skips the journal — re-merging known
-	// bytes is already durable. mu is released around the fsync (writeMu
-	// still held, so no other mutator interleaves) to keep readers off the
-	// disk; the entry becomes visible only after the append succeeded.
+	// bytes is already durable. mu is released around the framing and the
+	// fsync (writeMu still held, so no other mutator interleaves) to keep
+	// readers off the disk; the entry becomes visible only after the
+	// append succeeded.
+	rec, err := frameRecord(wal.TypeResult, fp, blob)
+	if err != nil {
+		return err
+	}
 	if journal != nil {
-		if err := journal.Append(wal.Record{Type: wal.TypeResult, Fingerprint: fp, Data: blob}); err != nil {
+		if err := journal.AppendFrame(rec.frame); err != nil {
 			return fmt.Errorf("fleet: journaling result %s: %w", fp, err)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.putLocked(fp, blob)
+	s.putLocked(fp, rec)
 	s.merges++
 	return nil
 }
@@ -316,7 +342,7 @@ func (s *Store) Summary(fp string, blob []byte) ([]byte, error) {
 			s.mu.Unlock()
 			return e.summary, nil
 		}
-		blob = e.blob
+		blob = e.data
 	}
 	s.mu.Unlock()
 	body, err := encodeSummary(fp, blob)
@@ -347,7 +373,7 @@ func (s *Store) PutSpec(fp string, spec []byte) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	s.mu.Lock()
-	if prev, ok := s.specs[fp]; ok && bytes.Equal(prev, spec) {
+	if prev, ok := s.specs[fp]; ok && bytes.Equal(prev.data, spec) {
 		s.mu.Unlock()
 		return nil
 	}
@@ -356,8 +382,12 @@ func (s *Store) PutSpec(fp string, spec []byte) error {
 	// As in Merge: the fsync happens with mu released so readers never
 	// wait on it, and writeMu keeps the check-journal-retain sequence
 	// atomic against other mutators and checkpoint capture.
+	rec, err := frameRecord(wal.TypeSpec, fp, spec)
+	if err != nil {
+		return err
+	}
 	if journal != nil {
-		if err := journal.Append(wal.Record{Type: wal.TypeSpec, Fingerprint: fp, Data: spec}); err != nil {
+		if err := journal.AppendFrame(rec.frame); err != nil {
 			return fmt.Errorf("fleet: journaling spec %s: %w", fp, err)
 		}
 	}
@@ -366,7 +396,7 @@ func (s *Store) PutSpec(fp string, spec []byte) error {
 	if !s.knownLocked(fp) {
 		s.tail = append(s.tail, fp)
 	}
-	s.specs[fp] = spec
+	s.specs[fp] = rec
 	return nil
 }
 
@@ -376,7 +406,7 @@ func (s *Store) Spec(fp string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	spec, ok := s.specs[fp]
-	return spec, ok
+	return spec.data, ok
 }
 
 // Stats reports cache effectiveness counters.
@@ -401,30 +431,32 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// SnapshotCut encodes the store's checkpoint for seed — a compacted log:
-// the wal header, the specs in fingerprint order, then the results from
-// least to most recently used (restoring them in order rebuilds recency),
-// so equal stores write equal bytes — with a WAL cut point. The capture
-// holds the writer lock, so every record below cut is in the checkpoint
-// and a record acked after the capture sits at or above it: CompactTo(cut)
-// drops exactly what the checkpoint absorbed. With no journal the cut is
-// 0. Encoding runs off the locks; captured blobs and specs are immutable.
+// SnapshotCut writes the store's checkpoint for seed — a compacted log:
+// the wal header, then the held frames of the specs in fingerprint order
+// and of the results from least to most recently used (restoring them in
+// order rebuilds recency), so equal stores write equal bytes — with a WAL
+// cut point. The capture holds the writer lock, so every record below cut
+// is in the checkpoint and a record acked after the capture sits at or
+// above it: CompactTo(cut) drops exactly what the checkpoint absorbed.
+// With no journal the cut is 0. The frames are copied off the locks (they
+// are immutable) and are neither re-encoded nor re-checksummed; the error
+// is always nil.
 func (s *Store) SnapshotCut(seed uint64) ([]byte, int64, error) {
 	s.writeMu.Lock()
 	s.mu.Lock()
 	s.settleLocked()
-	recs := make([]wal.Record, 0, len(s.specs)+s.ll.Len())
+	frames := make([][]byte, 0, len(s.specs)+s.ll.Len())
 	size := 0
 	for _, fp := range s.index {
 		if spec, ok := s.specs[fp]; ok {
-			recs = append(recs, wal.Record{Type: wal.TypeSpec, Fingerprint: fp, Data: spec})
-			size += len(fp) + len(spec) + 64
+			frames = append(frames, spec.frame)
+			size += len(spec.frame)
 		}
 	}
 	for el := s.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*storeEntry)
-		recs = append(recs, wal.Record{Type: wal.TypeResult, Fingerprint: e.fp, Data: e.blob})
-		size += len(e.fp) + len(e.blob) + 64
+		frames = append(frames, e.frame)
+		size += len(e.frame)
 	}
 	journal := s.journal
 	s.mu.Unlock()
@@ -433,12 +465,9 @@ func (s *Store) SnapshotCut(seed uint64) ([]byte, int64, error) {
 		cut = journal.Size()
 	}
 	s.writeMu.Unlock()
-	b := wal.AppendHeader(make([]byte, 0, size+64), seed) // size: data, fp, envelope and frame
-	for _, rec := range recs {
-		var err error
-		if b, err = wal.AppendRecord(b, rec); err != nil {
-			return nil, 0, err
-		}
+	b := wal.AppendHeader(make([]byte, 0, size+64), seed) // 64: the header
+	for _, f := range frames {
+		b = append(b, f...)
 	}
 	return b, cut, nil
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -256,5 +259,106 @@ func TestStoreSnapshotSeedMismatch(t *testing.T) {
 	}
 	if _, err := NewStore(0).LoadSnapshot(strings.NewReader(`{"schema":"bogus","seed":1}`), 1); err == nil {
 		t.Fatal("wrong schema accepted")
+	}
+}
+
+// TestSnapshotCutIsStoredFrames is a randomized property test of the
+// checkpoint the store cuts from the frames it keeps. After any sequence
+// of PutSpec, Merge and Get steps under any capacity (so with evictions),
+// SnapshotCut must equal its reference — the header, then each spec in
+// fingerprint order and each cached result from least to most recently
+// used, every record re-encoded by wal.AppendRecord — and reading it back
+// and replaying it into a fresh store must rebuild the same Keys, blobs,
+// specs and checkpoint.
+func TestSnapshotCutIsStoredFrames(t *testing.T) {
+	const seed = 25
+	st := realStudies(t, 6)
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 200; trial++ {
+		capacity := rng.Intn(5)
+		s := NewStore(capacity)
+		var mru []string // the model: cached fingerprints, most recent first
+		specs := map[string][]byte{}
+		touch := func(fp string) {
+			if i := slices.Index(mru, fp); i >= 0 {
+				mru = slices.Delete(mru, i, i+1)
+			}
+			mru = append([]string{fp}, mru...)
+			if capacity > 0 && len(mru) > capacity {
+				mru = mru[:capacity]
+			}
+		}
+		for step := rng.Intn(30); step > 0; step-- {
+			x := st[rng.Intn(len(st))]
+			switch rng.Intn(3) {
+			case 0:
+				if err := s.PutSpec(x.fp, x.spec); err != nil {
+					t.Fatal(err)
+				}
+				specs[x.fp] = x.spec
+			case 1:
+				mustMerge(t, s, x.fp, x.blob)
+				touch(x.fp)
+			default:
+				if _, ok := s.Get(x.fp); ok {
+					touch(x.fp)
+				}
+			}
+		}
+		if got := s.Keys(); !slices.Equal(got, mru) {
+			t.Fatalf("trial %d: keys %v, model %v", trial, got, mru)
+		}
+
+		blobs := map[string][]byte{}
+		for _, x := range st {
+			blobs[x.fp] = x.blob
+		}
+		want := wal.AppendHeader(nil, seed)
+		var err error
+		fps := make([]string, 0, len(specs))
+		for fp := range specs {
+			fps = append(fps, fp)
+		}
+		sort.Strings(fps)
+		for _, fp := range fps {
+			if want, err = wal.AppendRecord(want, wal.Record{Type: wal.TypeSpec, Fingerprint: fp, Data: specs[fp]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := len(mru) - 1; i >= 0; i-- {
+			if want, err = wal.AppendRecord(want, wal.Record{Type: wal.TypeResult, Fingerprint: mru[i], Data: blobs[mru[i]]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cut, _, err := s.SnapshotCut(seed)
+		if err != nil || !bytes.Equal(cut, want) {
+			t.Fatalf("trial %d: SnapshotCut differs from the re-encoded reference (%v)", trial, err)
+		}
+
+		recs, err := wal.Read(bytes.NewReader(cut), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewStore(capacity)
+		if _, _, err := ReplayWAL(fresh, seed, recs); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got := fresh.Keys(); !slices.Equal(got, s.Keys()) {
+			t.Fatalf("trial %d: replayed keys %v, want %v", trial, got, s.Keys())
+		}
+		for fp, spec := range specs {
+			if got, ok := fresh.Spec(fp); !ok || !bytes.Equal(got, spec) {
+				t.Fatalf("trial %d: replayed spec %s = %q, %v", trial, fp, got, ok)
+			}
+		}
+		again, _, _ := fresh.SnapshotCut(seed)
+		if !bytes.Equal(again, cut) {
+			t.Fatalf("trial %d: the replayed store cuts a different checkpoint", trial)
+		}
+		for _, fp := range mru {
+			if got, ok := fresh.Get(fp); !ok || !bytes.Equal(got, blobs[fp]) {
+				t.Fatalf("trial %d: replayed blob %s differs", trial, fp)
+			}
+		}
 	}
 }

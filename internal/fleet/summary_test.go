@@ -89,7 +89,7 @@ func TestStoreSummaryServedVerbatim(t *testing.T) {
 			}
 
 			store.mu.Lock()
-			store.items[fp].Value.(*storeEntry).blob = []byte("{}")
+			store.items[fp].Value.(*storeEntry).data = []byte("{}")
 			store.mu.Unlock()
 			resp, second := getWithHeader(t, ts, path, "", "")
 			if resp.StatusCode != http.StatusOK || !bytes.Equal(second, first) {

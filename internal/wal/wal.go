@@ -5,28 +5,34 @@
 // any instant loses at most the record being appended, never one that was
 // acknowledged.
 //
-// On-disk format: a sequence of frames, each
+// On-disk format (relperf/wal/v2): a sequence of frames, each
 //
 //	uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload
 //
-// The first frame is a header pinning the schema and the suite seed; a log
-// written under one seed refuses to open under another (the fingerprints
-// it names would address different bytes). Every later frame is one JSON
-// Record. A checkpoint is the same format: a compacted log, written whole
-// (AppendHeader, AppendRecord) and read whole (Read). One reader serves
-// both. Open reads until the first bad frame or envelope — a length that
-// overruns the file, an oversized length, a checksum mismatch, a payload
-// that is not a record — and truncates there, loudly: a torn tail costs
-// exactly the un-acked suffix. Read repairs nothing: a checkpoint is
-// published by atomic rename, so a bad frame in it is corruption. Once a
-// checkpoint has absorbed the log up to a cut point, CompactTo rewrites
-// the log (atomically) as a fresh header plus what was appended after it.
+// The first frame is a JSON header pinning the schema and the suite seed;
+// a log written under one seed refuses to open under another (the
+// fingerprints it names would address different bytes). Every later
+// payload is one binary Record:
+//
+//	type byte | fingerprint length byte | fingerprint | data
+//
+// with data verbatim to the end of the payload, so decoding a record reads
+// two bytes and slices the rest. A checkpoint is the same format: a
+// compacted log, written whole (AppendHeader, then record frames) and read
+// whole (Read). One reader serves both. Open reads until the first bad
+// frame or record — a length that overruns the file, an oversized length,
+// a checksum mismatch, a payload that is not a record — and truncates
+// there, loudly: a torn tail costs exactly the un-acked suffix. Open never
+// truncates a file it did not write: a first frame that is intact but not
+// this schema's header (a v1 log, a text file) is refused by name and the
+// file left as it is. Read repairs nothing: a checkpoint is published by
+// atomic rename, so a bad frame in it is corruption. Once a checkpoint has
+// absorbed the log up to a cut point, CompactTo rewrites the log
+// (atomically) as a fresh header plus what was appended after it.
 package wal
 
 import (
 	"bufio"
-	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,16 +41,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"relperf/internal/faultpoint"
-	"relperf/internal/pool"
 )
 
-// Schema identifies the header record of a v1 log.
-const Schema = "relperf/wal/v1"
+// Schema identifies the header record of a v2 log.
+const Schema = "relperf/wal/v2"
 
 // Record types written by the control plane.
 const (
@@ -56,11 +62,25 @@ const (
 	TypeTask = "task"
 )
 
+// typeNames maps a record payload's type byte to its Type; 0 and every
+// byte past the table are not record types.
+var typeNames = [...]string{1: TypeSpec, 2: TypeResult, 3: TypeTask}
+
+// typeByte returns the type byte of a record Type, or 0 for none.
+func typeByte(t string) byte {
+	for b, name := range typeNames {
+		if name != "" && name == t {
+			return byte(b)
+		}
+	}
+	return 0
+}
+
 // frameOverhead is the per-record framing cost: length + CRC.
 const frameOverhead = 8
 
-// Chunk is how many records one parallel decode or validation unit takes.
-const Chunk = 64
+// recordOverhead is a record payload's fixed part: type and fp length.
+const recordOverhead = 2
 
 // maxPayload bounds one record; a recovered length beyond it is treated
 // as corruption, not as an instruction to allocate gigabytes.
@@ -69,15 +89,16 @@ const maxPayload = 64 << 20
 // Record is one logged control-plane event.
 type Record struct {
 	// Type tags the event (TypeSpec, TypeResult, TypeTask).
-	Type string `json:"type"`
-	// Fingerprint is the study the event concerns, when it concerns one.
-	Fingerprint string `json:"fp,omitempty"`
+	Type string
+	// Fingerprint is the study the event concerns, when it concerns one
+	// (at most 255 bytes).
+	Fingerprint string
 	// Data is the event payload, verbatim (spec JSON, result JSON, task
-	// record JSON).
-	Data json.RawMessage `json:"data,omitempty"`
+	// record JSON). A record read back aliases the frame it was read from.
+	Data json.RawMessage
 	// Offset is the byte offset of the record's frame in the file it was
 	// read from. It names the record in errors and is never written.
-	Offset int64 `json:"-"`
+	Offset int64
 }
 
 // ErrSeedMismatch is returned when a log or checkpoint was written under a
@@ -91,7 +112,7 @@ var ErrSeedMismatch = errors.New("wal: seed mismatch")
 // header itself is Index -1.
 type RecordError struct {
 	Index       int
-	Fingerprint string // as far as the record's envelope still says
+	Fingerprint string // as far as the record's frame still says
 	Offset      int64  // of the record's frame
 	Err         error
 }
@@ -113,32 +134,56 @@ type header struct {
 
 // AppendHeader appends the header frame of a log for seed to buf.
 func AppendHeader(buf []byte, seed uint64) []byte {
-	buf, _ = appendJSON(buf, header{Schema: Schema, Seed: seed}) // cannot fail
-	return buf
+	p, _ := json.Marshal(header{Schema: Schema, Seed: seed}) // cannot fail
+	return appendFrame(buf, p)
+}
+
+// appendFrame appends a frame around payload to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 // AppendRecord appends rec's frame to buf: the one record encoder, shared
-// by Append and by checkpoints, so both files hold the same bytes for the
-// same record.
-func AppendRecord(buf []byte, rec Record) ([]byte, error) { return appendJSON(buf, &rec) }
-
-// appendJSON appends a frame holding v's json.Marshal encoding to buf. The
-// payload is encoded in place, after a frame header filled in last, so
-// framing a whole checkpoint copies no record.
-func appendJSON(buf []byte, v any) ([]byte, error) {
+// by Append and by the fleet store, which keeps each record's frame and
+// writes checkpoints by copying those frames — so the log and a checkpoint
+// hold the same bytes for the same record. The data is copied once, into
+// place after the frame header, and the CRC covers it where it lands.
+func AppendRecord(buf []byte, rec Record) ([]byte, error) {
+	typ := typeByte(rec.Type)
+	switch {
+	case typ == 0:
+		return buf, fmt.Errorf("wal: unknown record type %q", rec.Type)
+	case len(rec.Fingerprint) > 255:
+		return buf, fmt.Errorf("wal: fingerprint of %d bytes exceeds the 255 byte bound", len(rec.Fingerprint))
+	}
+	n := recordOverhead + len(rec.Fingerprint) + len(rec.Data)
+	if n > maxPayload {
+		return buf, fmt.Errorf("wal: record of %d bytes exceeds the %d byte bound", n, maxPayload)
+	}
 	start := len(buf)
-	w := bytes.NewBuffer(append(buf, make([]byte, frameOverhead)...))
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return buf, fmt.Errorf("wal: encoding record: %w", err)
+	buf = slices.Grow(buf, frameOverhead+n)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, 0, 0, 0, 0, typ, byte(len(rec.Fingerprint)))
+	buf = append(append(buf, rec.Fingerprint...), rec.Data...)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(buf[start+frameOverhead:]))
+	return buf, nil
+}
+
+// decodeRecord decodes a record payload. Data aliases p.
+func decodeRecord(p []byte) (Record, error) {
+	if len(p) < recordOverhead {
+		return Record{}, fmt.Errorf("%d byte payload is not a record", len(p))
 	}
-	out := w.Bytes()[:w.Len()-1] // Encode ends the value with a newline
-	p := out[start+frameOverhead:]
-	if len(p) > maxPayload {
-		return buf, fmt.Errorf("wal: record of %d bytes exceeds the %d byte bound", len(p), maxPayload)
+	if int(p[0]) >= len(typeNames) || typeNames[p[0]] == "" {
+		return Record{}, fmt.Errorf("unknown record type byte 0x%02x", p[0])
 	}
-	binary.LittleEndian.PutUint32(out[start:], uint32(len(p)))
-	binary.LittleEndian.PutUint32(out[start+4:], crc32.ChecksumIEEE(p))
-	return out, nil
+	end := recordOverhead + int(p[1])
+	if end > len(p) {
+		return Record{}, fmt.Errorf("fingerprint of %d bytes overruns the %d byte payload", p[1], len(p))
+	}
+	return Record{Type: typeNames[p[0]], Fingerprint: string(p[recordOverhead:end]), Data: p[end:]}, nil
 }
 
 // frameError describes a torn or corrupt frame — the point where Open
@@ -183,84 +228,98 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// claimedFingerprint returns the fp an envelope claims, as far as payload
-// goes: AppendRecord writes it before the data, so a torn or corrupt frame
-// still names the study it held.
+// claimedFingerprint returns the fp a record payload claims, as far as
+// payload goes: it sits at a fixed offset before the data, so a torn or
+// corrupt frame still names the study it held.
 func claimedFingerprint(payload []byte) string {
-	_, rest, ok := bytes.Cut(payload, []byte(`"fp":"`))
-	fp, _, closed := bytes.Cut(rest, []byte(`"`))
-	if !ok || !closed {
+	if len(payload) < recordOverhead || len(payload) < recordOverhead+int(payload[1]) {
 		return ""
 	}
-	return string(fp)
+	return string(payload[recordOverhead : recordOverhead+int(payload[1])])
 }
 
-// load reads a log image for seed: frames serially (length, checksum),
-// then the record envelopes in parallel. It returns the records of the
-// clean prefix in file order, the byte length of that prefix, and a
-// *RecordError naming the first bad frame or envelope (nil when all of r
-// is clean). A foreign seed (ErrSeedMismatch) and a read error are err.
+// readHeader reads the header frame of a log image for seed. A torn or
+// corrupt header that is still recognisably this log's own — the bytes
+// present differ from the header AppendHeader writes for seed in at most
+// one byte, as a crash while creating the log or one damaged byte leaves
+// it — is bad, for Open to repair. Anything else is err: a foreign seed
+// (ErrSeedMismatch), a read error, or a file this version did not write —
+// an intact frame holding another schema's header, or no frame at all —
+// which Open must refuse rather than truncate.
+func readHeader(br *bufio.Reader, seed uint64) (size int64, bad, err error) {
+	want := AppendHeader(nil, seed)
+	got, _ := br.Peek(len(want))
+	differ := 0
+	for i := range got {
+		if got[i] != want[i] {
+			differ++
+		}
+	}
+	ours := differ <= 1
+	p, err := readFrame(br)
+	var fe *frameError
+	switch {
+	case errors.As(err, &fe) && ours:
+		return 0, &RecordError{Index: -1, Err: fe}, nil
+	case errors.As(err, &fe):
+		return 0, nil, &RecordError{Index: -1, Err: fmt.Errorf("not a relperf WAL (%v); left untouched", fe)}
+	case err != nil:
+		return 0, nil, err // io.EOF (empty input) is the caller's to judge
+	}
+	var hdr header
+	if json.Unmarshal(p, &hdr) != nil || hdr.Schema == "" {
+		return 0, nil, &RecordError{Index: -1, Err: errors.New("not a relperf WAL; left untouched")}
+	}
+	if hdr.Schema != Schema {
+		return 0, nil, &RecordError{Index: -1, Err: fmt.Errorf("a %s log, a format this version does not read (it reads %s); left untouched: move it aside and restart, then resubmit its studies", hdr.Schema, Schema)}
+	}
+	if hdr.Seed != seed {
+		return 0, nil, fmt.Errorf("%w: written under seed %d, read under seed %d", ErrSeedMismatch, hdr.Seed, seed)
+	}
+	return int64(frameOverhead + len(p)), nil, nil
+}
+
+// load reads a log image for seed, decoding each record as its frame
+// arrives. It returns the records of the clean prefix in file order, the
+// byte length of that prefix, and a *RecordError naming the first bad
+// frame or record (nil when all of r is clean). A file this version did
+// not write, a foreign seed (ErrSeedMismatch) and a read error are err.
 func load(r io.Reader, seed uint64) (recs []Record, clean int64, bad, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var payloads [][]byte
-	var offs []int64
+	clean, bad, err = readHeader(br, seed)
+	if err == io.EOF {
+		return nil, 0, nil, nil
+	}
+	if err != nil || bad != nil {
+		return nil, 0, bad, err
+	}
 	for {
 		p, err := readFrame(br)
 		if err == io.EOF {
-			break
+			return recs, clean, nil, nil
 		}
 		var fe *frameError
 		if errors.As(err, &fe) {
-			bad = &RecordError{Index: len(payloads) - 1, Fingerprint: claimedFingerprint(fe.payload), Offset: clean, Err: fe}
-			break
+			return recs, clean, &RecordError{Index: len(recs), Fingerprint: claimedFingerprint(fe.payload), Offset: clean, Err: fe}, nil
 		}
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		if clean == 0 {
-			var hdr header
-			if err := json.Unmarshal(p, &hdr); err != nil || hdr.Schema != Schema {
-				bad = &RecordError{Index: -1, Err: fmt.Errorf("no valid %s header", Schema)}
-				break
-			}
-			if hdr.Seed != seed {
-				return nil, 0, nil, fmt.Errorf("%w: written under seed %d, read under seed %d", ErrSeedMismatch, hdr.Seed, seed)
-			}
+		rec, err := decodeRecord(p)
+		if err != nil {
+			return recs, clean, &RecordError{Index: len(recs), Fingerprint: claimedFingerprint(p), Offset: clean, Err: err}, nil
 		}
-		payloads = append(payloads, p)
-		offs = append(offs, clean)
+		rec.Offset = clean
+		recs = append(recs, rec)
 		clean += int64(frameOverhead + len(p))
 	}
-	if len(payloads) == 0 {
-		return nil, clean, bad, nil
-	}
-	// payloads[0] is the header. Units never fail, so every envelope is
-	// decoded and the first bad one is found by index, not by timing.
-	payloads, offs = payloads[1:], offs[1:]
-	recs = make([]Record, len(payloads))
-	errs := make([]error, len(payloads))
-	_ = pool.ForEach(context.Background(), nil, (len(payloads)+Chunk-1)/Chunk, 0, func(c int) error {
-		for i := c * Chunk; i < min(len(payloads), (c+1)*Chunk); i++ {
-			if errs[i] = json.Unmarshal(payloads[i], &recs[i]); errs[i] == nil {
-				payloads[i] = nil // Data holds a copy; let the frame go
-			}
-			recs[i].Offset = offs[i]
-		}
-		return nil
-	})
-	for i, e := range errs {
-		if e != nil {
-			return recs[:i], offs[i], &RecordError{Index: i, Fingerprint: claimedFingerprint(payloads[i]), Offset: offs[i], Err: e}, nil
-		}
-	}
-	return recs, clean, bad, nil
 }
 
 // Read reads a whole log image for seed — a checkpoint — and returns its
 // records, oldest first. Unlike Open it repairs nothing: an empty input, a
-// missing header, a torn or corrupt frame or a record that does not parse
-// is a *RecordError, and a foreign seed is ErrSeedMismatch. Read accepts
-// an input exactly when Open would keep every frame of it.
+// missing or foreign header, a torn or corrupt frame or a record that does
+// not decode is a *RecordError, and a foreign seed is ErrSeedMismatch.
+// Read accepts an input exactly when Open would keep every frame of it.
 func Read(r io.Reader, seed uint64) ([]Record, error) {
 	recs, clean, bad, err := load(r, seed)
 	switch {
@@ -293,8 +352,11 @@ type Log struct {
 
 // Open opens (or creates) the log at path for seed, recovering its
 // records. A torn tail — a bad frame, or a clean frame whose payload is
-// not a record — is truncated in place and reported through logf; a header
-// written under another seed is an ErrSeedMismatch. The records come back
+// not a record — is truncated in place and reported through logf, and so
+// is a header a crash cut short or one damaged byte spoiled; a header
+// written under another seed is an ErrSeedMismatch, and a file whose first
+// frame is not this schema's header (a v1 log, a file that is no log) is
+// refused by name and left untouched. The records come back
 // oldest first, for the caller to replay before attaching the log to live
 // components, so replayed events are not re-journaled.
 func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log, []Record, error) {
@@ -354,19 +416,25 @@ func Open(path string, seed uint64, logf func(format string, args ...any)) (*Log
 	return l, nil, nil
 }
 
-// Append journals one record: frame, write, fsync — in that order, and
-// only a completed fsync makes the append succeed. On any failure the
-// file is rolled back to the last durable frame, so a failed append never
-// leaves a half-record for recovery to trip on while the process lives.
-// The wal.append.* faultpoints fire here.
-func (l *Log) Append(rec Record) (err error) {
+// Append journals one record: AppendRecord, then AppendFrame.
+func (l *Log) Append(rec Record) error {
+	frame, err := AppendRecord(nil, rec)
+	if err != nil {
+		l.metrics.Load().recordAppend(0, err)
+		return err
+	}
+	return l.AppendFrame(frame)
+}
+
+// AppendFrame journals one record frame, as AppendRecord built it: write,
+// fsync — in that order, and only a completed fsync makes the append
+// succeed. On any failure the file is rolled back to the last durable
+// frame, so a failed append never leaves a half-record for recovery to
+// trip on while the process lives. The wal.append.* faultpoints fire here.
+func (l *Log) AppendFrame(frame []byte) (err error) {
 	m := l.metrics.Load()
 	start := time.Now()
 	defer func() { m.recordAppend(time.Since(start), err) }()
-	frame, err := AppendRecord(nil, rec)
-	if err != nil {
-		return err
-	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()

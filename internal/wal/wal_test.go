@@ -3,27 +3,24 @@ package wal
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"relperf/internal/faultpoint"
 )
 
-// appendFrame appends a frame around a raw payload, well-formed or not.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	return append(append(buf, hdr[:]...), payload...)
+// v1Envelope is a record as relperf/wal/v1 wrote it: a JSON envelope
+// around the data. The v2 reader must refuse it, never decode it.
+func v1Envelope(rec Record) []byte {
+	return fmt.Appendf(nil, `{"type":%q,"fp":%q,"data":%s}`, rec.Type, rec.Fingerprint, rec.Data)
 }
 
 func testRecord(i int) Record {
@@ -379,16 +376,20 @@ func decodeFrames(t *testing.T, b []byte) (payloads [][]byte, clean int, bad err
 // it accepts an input exactly when Open keeps every frame of it without
 // truncating, returning the same records.
 func FuzzWALDecode(f *testing.F) {
+	// Refusal inputs: v1 envelopes without a header, and input that is
+	// no log at all.
 	var valid []byte
 	for i := 0; i < 3; i++ {
-		p, _ := json.Marshal(testRecord(i))
-		valid = appendFrame(valid, p)
+		valid = appendFrame(valid, v1Envelope(testRecord(i)))
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])          // torn tail
 	f.Add([]byte{})                      // empty
 	f.Add([]byte("not a wal at all"))    // garbage
 	f.Add(appendFrame(nil, []byte("x"))) // single tiny frame
+	// v2 logs: valid, torn, bit-flipped, and one whose last record has a
+	// type byte no version wrote (its CRC recomputed, so only the record
+	// decoder can refuse it).
 	const seed = 7
 	log := AppendHeader(nil, seed)
 	for i := 0; i < 3; i++ {
@@ -396,6 +397,12 @@ func FuzzWALDecode(f *testing.F) {
 	}
 	f.Add(log)
 	f.Add(log[:len(log)-5]) // torn checkpoint
+	flip := append([]byte(nil), log...)
+	flip[len(flip)-20] ^= 0x10
+	f.Add(flip)
+	last, _ := AppendRecord(nil, testRecord(3))
+	last[frameOverhead] = 0x7f
+	f.Add(appendFrame(append([]byte(nil), log...), last[frameOverhead:]))
 	// Inputs run one at a time per fuzz process, so one file serves all.
 	path := filepath.Join(f.TempDir(), "fuzz.log")
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -443,8 +450,8 @@ func FuzzWALDecode(f *testing.F) {
 
 // TestReadRefusesWhatOpenRepairs: the strict checkpoint reader returns a
 // clean image's records, offsets included, and refuses every input Open
-// would repair — empty, headerless, torn, bit-flipped, an envelope that
-// does not parse — with the record named, and a foreign seed with
+// would repair or refuse — empty, headerless, torn, bit-flipped, a
+// payload with an unknown type byte — with the record named, and a foreign seed with
 // ErrSeedMismatch.
 func TestReadRefusesWhatOpenRepairs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -463,7 +470,7 @@ func TestReadRefusesWhatOpenRepairs(t *testing.T) {
 	last := want[2]
 	flip := append([]byte(nil), clean...)
 	flip[len(flip)-3] ^= 1
-	notRecord := appendFrame(append([]byte(nil), clean...), []byte(`{"type":`))
+	notRecord := appendFrame(append([]byte(nil), clean...), []byte{0x7f, 0, '{'})
 	for _, c := range []struct {
 		name  string
 		data  []byte
@@ -481,6 +488,104 @@ func TestReadRefusesWhatOpenRepairs(t *testing.T) {
 		var re *RecordError
 		if !errors.As(err, &re) || re.Index != c.index || re.Fingerprint != c.fp || re.Offset != c.off {
 			t.Fatalf("%s: Read = %v, want record %d (%q) at offset %d named", c.name, err, c.index, c.fp, c.off)
+		}
+	}
+}
+
+// TestOpenRefusesForeignFile: a file whose first frame is not this
+// schema's header — text, a v1 log, a v2 record where the header belongs —
+// is refused by name, and its bytes are left exactly as they were. Open
+// used to truncate such a file to a fresh header.
+func TestOpenRefusesForeignFile(t *testing.T) {
+	dir := t.TempDir()
+	v1 := appendFrame(nil, []byte(`{"schema":"relperf/wal/v1","seed":7}`))
+	v1 = appendFrame(v1, v1Envelope(testRecord(0)))
+	rec, _ := AppendRecord(nil, testRecord(0))
+	for _, c := range []struct {
+		name, data, want string
+	}{
+		{"text", "# relperfd notes\nnot a log at all\n", "not a relperf WAL"},
+		{"v1-log", string(v1), "relperf/wal/v1"},
+		{"headerless", string(rec), "not a relperf WAL"},
+		{"short-garbage", "abc", "not a relperf WAL"},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, _, err := Open(path, 7, t.Logf)
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s: opened as a log", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want it to say %q", c.name, err, c.want)
+		}
+		if got, _ := os.ReadFile(path); string(got) != c.data {
+			t.Fatalf("%s: refused file changed: %q -> %q", c.name, c.data, got)
+		}
+	}
+}
+
+// TestOpenRepairsItsOwnHeader: a header a crash cut short, or one with a
+// single damaged byte, is this log's own and is repaired to a fresh log.
+func TestOpenRepairsItsOwnHeader(t *testing.T) {
+	dir := t.TempDir()
+	hdr := AppendHeader(nil, 7)
+	flipped := append([]byte(nil), hdr...)
+	flipped[frameOverhead+3] ^= 0x04
+	rec, _ := AppendRecord(nil, testRecord(0))
+	for name, data := range map[string][]byte{
+		"torn-length":  hdr[:3],
+		"torn-payload": hdr[:len(hdr)-4],
+		"flipped":      append(flipped, rec...),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := Open(path, 7, t.Logf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		l.Close()
+		if got, _ := os.ReadFile(path); len(recs) != 0 || !bytes.Equal(got, hdr) {
+			t.Fatalf("%s: repaired to %q with %d records, want a fresh header", name, got, len(recs))
+		}
+	}
+}
+
+// TestRecordCodec: every record type round-trips through the v2 payload
+// with Data aliasing the frame, and the encoder refuses what the payload
+// cannot hold.
+func TestRecordCodec(t *testing.T) {
+	for _, typ := range []string{TypeSpec, TypeResult, TypeTask} {
+		want := Record{Type: typ, Fingerprint: "0123456789abcdef0123456789abcdef", Data: []byte(`{"k":1}`)}
+		frame, err := AppendRecord([]byte("prefix"), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := frame[len("prefix")+frameOverhead:]
+		got, err := decodeRecord(p)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %+v, %v; want %+v", typ, got, err, want)
+		}
+		if &got.Data[0] != &p[len(p)-len(want.Data)] {
+			t.Fatalf("%s: decoded data is a copy, not the frame's bytes", typ)
+		}
+		if claimedFingerprint(p[:recordOverhead+10]) != "" || claimedFingerprint(p) != want.Fingerprint {
+			t.Fatalf("%s: claimed fingerprint wrong", typ)
+		}
+	}
+	if _, err := AppendRecord(nil, Record{Type: "mystery"}); err == nil {
+		t.Fatal("unknown type encoded")
+	}
+	if _, err := AppendRecord(nil, Record{Type: TypeSpec, Fingerprint: strings.Repeat("f", 256)}); err == nil {
+		t.Fatal("a 256-byte fingerprint encoded")
+	}
+	for _, p := range [][]byte{{}, {2}, {0, 0}, {4, 0}, {2, 5, 'a'}} {
+		if _, err := decodeRecord(p); err == nil {
+			t.Fatalf("payload %q decoded", p)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
+	"strconv"
 
 	"relperf/internal/compare"
 	"relperf/internal/core"
@@ -74,41 +74,53 @@ func Fingerprint(cfg StudyConfig) (string, error) {
 }
 
 // Fingerprint returns the canonical fingerprint of the study's
-// configuration; see the package-level Fingerprint.
+// configuration; see the package-level Fingerprint. The canonical form is
+// built with strconv: a float renders as fmt's %v does ('g', shortest), a
+// name as fmt's %q does, and a quantile list as "[a b c]".
 func (s *Study) Fingerprint() (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", fingerprintVersion)
+	b := make([]byte, 0, 1024)
+	b = append(b, fingerprintVersion+"\n"...)
 	cmp := s.cfg.Comparator
 	if cmp == nil && s.cfg.SketchK > 0 {
 		// Sketch mode's nil default resolves to the sketch comparator, not
 		// the bootstrap — the identities must match what actually runs.
 		cmp = compare.SketchComparator{}
 	}
-	if err := fingerprintComparator(h, cmp); err != nil {
-		return "", err
-	}
-	if err := fingerprintDevice(h, "edge", s.cfg.Platform.Edge); err != nil {
-		return "", err
-	}
-	if err := fingerprintDevice(h, "accel", s.cfg.Platform.Accel); err != nil {
-		return "", err
-	}
-	link := s.cfg.Platform.Link
-	linkNoise, err := fingerprintNoise(link.Noise)
+	b, err := fingerprintComparator(b, cmp)
 	if err != nil {
 		return "", err
 	}
-	fmt.Fprintf(h, "link %q latency=%d bandwidth=%v noise=%s\n",
-		link.Name, link.Latency.Nanoseconds(), link.Bandwidth, linkNoise)
-	fmt.Fprintf(h, "program %q\n", s.cfg.Program.Name)
+	if b, err = fingerprintDevice(b, "edge", s.cfg.Platform.Edge); err != nil {
+		return "", err
+	}
+	if b, err = fingerprintDevice(b, "accel", s.cfg.Platform.Accel); err != nil {
+		return "", err
+	}
+	link := s.cfg.Platform.Link
+	b = strconv.AppendQuote(append(b, "link "...), link.Name)
+	b = strconv.AppendInt(append(b, " latency="...), link.Latency.Nanoseconds(), 10)
+	b = appendFloat(append(b, " bandwidth="...), link.Bandwidth)
+	if b, err = fingerprintNoise(append(b, " noise="...), link.Noise); err != nil {
+		return "", err
+	}
+	b = strconv.AppendQuote(append(b, "\nprogram "...), s.cfg.Program.Name)
+	b = append(b, '\n')
 	for i := range s.cfg.Program.Tasks {
 		t := &s.cfg.Program.Tasks[i]
-		fmt.Fprintf(h, "task %q flops=%d mem=%d launches=%d in=%d out=%d transfers=%d edgeeff=%v acceleff=%v cache=%v\n",
-			t.Name, t.Flops, t.MemBytes, t.Launches, t.HostInBytes, t.HostOutBytes,
-			t.Transfers, t.EdgeEff, t.AccelEff, t.CachePenaltySeconds)
+		b = strconv.AppendQuote(append(b, "task "...), t.Name)
+		b = strconv.AppendInt(append(b, " flops="...), t.Flops, 10)
+		b = strconv.AppendInt(append(b, " mem="...), t.MemBytes, 10)
+		b = strconv.AppendInt(append(b, " launches="...), t.Launches, 10)
+		b = strconv.AppendInt(append(b, " in="...), t.HostInBytes, 10)
+		b = strconv.AppendInt(append(b, " out="...), t.HostOutBytes, 10)
+		b = strconv.AppendInt(append(b, " transfers="...), t.Transfers, 10)
+		b = appendFloat(append(b, " edgeeff="...), t.EdgeEff)
+		b = appendFloat(append(b, " acceleff="...), t.AccelEff)
+		b = appendFloat(append(b, " cache="...), t.CachePenaltySeconds)
+		b = append(b, '\n')
 	}
 	for _, pl := range s.placements {
-		fmt.Fprintf(h, "placement %s\n", pl)
+		b = append(append(append(b, "placement "...), pl.String()...), '\n')
 	}
 	// The trial cap only matters on the matrix path; normalizing it keeps
 	// no-op flag differences from splitting the cache identity.
@@ -119,91 +131,133 @@ func (s *Study) Fingerprint() (string, error) {
 			trials = core.DefaultMatrixTrials
 		}
 	}
-	fmt.Fprintf(h, "n=%d warmup=%d reps=%d matrix=%v trials=%d\n",
-		s.cfg.N, s.cfg.Warmup, s.cfg.Reps, s.cfg.Matrix, trials)
+	b = strconv.AppendInt(append(b, "n="...), int64(s.cfg.N), 10)
+	b = strconv.AppendInt(append(b, " warmup="...), int64(s.cfg.Warmup), 10)
+	b = strconv.AppendInt(append(b, " reps="...), int64(s.cfg.Reps), 10)
+	b = strconv.AppendBool(append(b, " matrix="...), s.cfg.Matrix)
+	b = strconv.AppendInt(append(b, " trials="...), int64(trials), 10)
+	b = append(b, '\n')
 	// The sketch line exists only in sketch mode, so an exact study and a
 	// sketch study over the same configuration can never share an identity —
 	// a cache must not serve an approximation where exact bytes were
 	// promised, or vice versa.
 	if s.cfg.SketchK > 0 {
-		fmt.Fprintf(h, "sketch k=%d\n", s.cfg.SketchK)
+		b = strconv.AppendInt(append(b, "sketch k="...), int64(s.cfg.SketchK), 10)
+		b = append(b, '\n')
 	}
-	sum := h.Sum(nil)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16]), nil
 }
 
-func fingerprintDevice(w io.Writer, label string, d *device.Device) error {
-	noise, err := fingerprintNoise(d.Noise)
-	if err != nil {
-		return err
+// appendFloat appends f as fmt's %v renders it.
+func appendFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+
+// appendFloats appends fs as fmt's %v renders a []float64: "[a b c]".
+func appendFloats(b []byte, fs []float64) []byte {
+	b = append(b, '[')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendFloat(b, f)
 	}
-	fmt.Fprintf(w, "%s %q kind=%d peak=%v membw=%v launch=%d task=%d threads=%d noise=%s energy=(idle=%v active=%v jpb=%v)\n",
-		label, d.Name, d.Kind, d.PeakFlops, d.MemBandwidth,
-		d.LaunchOverhead.Nanoseconds(), d.TaskOverhead.Nanoseconds(),
-		d.Threads, noise, d.Energy.IdleWatts, d.Energy.ActiveWatts, d.Energy.JoulesPerByte)
-	return nil
+	return append(b, ']')
 }
 
-// fingerprintNoise renders a noise model canonically by its decision
+func fingerprintDevice(b []byte, label string, d *device.Device) ([]byte, error) {
+	b = strconv.AppendQuote(append(append(b, label...), ' '), d.Name)
+	b = strconv.AppendInt(append(b, " kind="...), int64(d.Kind), 10)
+	b = appendFloat(append(b, " peak="...), d.PeakFlops)
+	b = appendFloat(append(b, " membw="...), d.MemBandwidth)
+	b = strconv.AppendInt(append(b, " launch="...), d.LaunchOverhead.Nanoseconds(), 10)
+	b = strconv.AppendInt(append(b, " task="...), d.TaskOverhead.Nanoseconds(), 10)
+	b = strconv.AppendInt(append(b, " threads="...), int64(d.Threads), 10)
+	b, err := fingerprintNoise(append(b, " noise="...), d.Noise)
+	if err != nil {
+		return nil, err
+	}
+	b = appendFloat(append(b, " energy=(idle="...), d.Energy.IdleWatts)
+	b = appendFloat(append(b, " active="...), d.Energy.ActiveWatts)
+	b = appendFloat(append(b, " jpb="...), d.Energy.JoulesPerByte)
+	return append(b, ")\n"...), nil
+}
+
+// fingerprintNoise appends a noise model canonically by its decision
 // parameters: field values only — never fmt's %#v, which would print heap
 // addresses for pointer-shaped models and destabilize fingerprints across
 // process runs. Pointer and value forms of one model encode identically,
 // zero-valued fields encode as the defaults Perturb applies, and unknown
 // model types are rejected just like unknown comparators.
-func fingerprintNoise(n device.NoiseModel) (string, error) {
+func fingerprintNoise(b []byte, n device.NoiseModel) ([]byte, error) {
 	switch m := n.(type) {
 	case nil:
-		return "none", nil
+		return append(b, "none"...), nil
 	case device.LogNormalNoise:
-		return fmt.Sprintf("lognormal(sigma=%v)", m.Sigma), nil
+		return append(appendFloat(append(b, "lognormal(sigma="...), m.Sigma), ')'), nil
 	case *device.LogNormalNoise:
-		return fingerprintNoise(*m)
+		return fingerprintNoise(b, *m)
 	case device.GaussianNoise:
 		floor := m.Floor
 		if floor == 0 {
 			floor = device.DefaultGaussianFloor
 		}
-		return fmt.Sprintf("gaussian(rel=%v floor=%v)", m.Rel, floor), nil
+		b = appendFloat(append(b, "gaussian(rel="...), m.Rel)
+		return append(appendFloat(append(b, " floor="...), floor), ')'), nil
 	case *device.GaussianNoise:
-		return fingerprintNoise(*m)
+		return fingerprintNoise(b, *m)
 	case device.SpikyNoise:
-		base, err := fingerprintNoise(m.Base)
+		b = appendFloat(append(b, "spiky(p="...), m.P)
+		b = appendFloat(append(b, " scale="...), m.Scale)
+		b = appendFloat(append(b, " alpha="...), m.Alpha)
+		b, err := fingerprintNoise(append(b, " base="...), m.Base)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return fmt.Sprintf("spiky(p=%v scale=%v alpha=%v base=%s)", m.P, m.Scale, m.Alpha, base), nil
+		return append(b, ')'), nil
 	case *device.SpikyNoise:
-		return fingerprintNoise(*m)
+		return fingerprintNoise(b, *m)
 	case device.ShiftNoise:
-		base, err := fingerprintNoise(m.Base)
+		b = appendFloat(append(b, "shift(shift="...), m.Shift)
+		b, err := fingerprintNoise(append(b, " base="...), m.Base)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return fmt.Sprintf("shift(shift=%v base=%s)", m.Shift, base), nil
+		return append(b, ')'), nil
 	case *device.ShiftNoise:
-		return fingerprintNoise(*m)
+		return fingerprintNoise(b, *m)
 	case device.NoNoise:
 		// NoNoise and nil are one identity: neither perturbs nor draws
 		// from the RNG stream, so they produce identical Results.
-		return "none", nil
+		return append(b, "none"...), nil
 	case *device.NoNoise:
-		return "none", nil
+		return append(b, "none"...), nil
 	default:
-		return "", fmt.Errorf("relperf: cannot fingerprint noise model of type %T (only built-in noise models have a canonical identity)", n)
+		return nil, fmt.Errorf("relperf: cannot fingerprint noise model of type %T (only built-in noise models have a canonical identity)", n)
 	}
 }
 
-// fingerprintComparator writes the comparator's decision parameters in
+// fingerprintComparator appends the comparator's decision parameters in
 // normalized form: zero-valued fields encode as the defaults the comparator
 // would apply at Compare time, and a nil comparator encodes as the default
 // bootstrap it resolves to. A comparator's RNG seed is deliberately absent —
 // on the engine's fork path every repetition reseeds from the study seed,
 // so the built-in comparators' own randomness never reaches a Result.
-func fingerprintComparator(w io.Writer, cmp compare.Comparator) error {
+func fingerprintComparator(b []byte, cmp compare.Comparator) ([]byte, error) {
+	bootstrap := func(rounds int, margin float64, qs []float64) []byte {
+		b = strconv.AppendInt(append(b, "cmp bootstrap rounds="...), int64(rounds), 10)
+		b = appendFloat(append(b, " margin="...), margin)
+		return append(appendFloats(append(b, " quantiles="...), qs), '\n')
+	}
+	alpha := func(name string, a float64) []byte {
+		if a <= 0 {
+			a = compare.DefaultAlpha
+		}
+		return append(appendFloat(append(append(append(b, "cmp "...), name...), " alpha="...), a), '\n')
+	}
 	switch c := cmp.(type) {
 	case nil:
 		d := compare.NewBootstrap(0)
-		fmt.Fprintf(w, "cmp bootstrap rounds=%d margin=%v quantiles=%v\n", d.Rounds, d.Margin, d.Quantiles)
+		return bootstrap(d.Rounds, d.Margin, d.Quantiles), nil
 	case *compare.Bootstrap:
 		rounds := c.Rounds
 		if rounds <= 0 {
@@ -217,25 +271,17 @@ func fingerprintComparator(w io.Writer, cmp compare.Comparator) error {
 		if len(qs) == 0 {
 			qs = compare.DefaultQuantiles
 		}
-		fmt.Fprintf(w, "cmp bootstrap rounds=%d margin=%v quantiles=%v\n", rounds, margin, qs)
+		return bootstrap(rounds, margin, qs), nil
 	case compare.KS:
-		alpha := c.Alpha
-		if alpha <= 0 {
-			alpha = compare.DefaultAlpha
-		}
-		fmt.Fprintf(w, "cmp ks alpha=%v\n", alpha)
+		return alpha("ks", c.Alpha), nil
 	case compare.MannWhitney:
-		alpha := c.Alpha
-		if alpha <= 0 {
-			alpha = compare.DefaultAlpha
-		}
-		fmt.Fprintf(w, "cmp mannwhitney alpha=%v\n", alpha)
+		return alpha("mannwhitney", c.Alpha), nil
 	case compare.MeanThreshold:
 		tol := c.RelTol
 		if tol <= 0 {
 			tol = compare.DefaultRelTol
 		}
-		fmt.Fprintf(w, "cmp mean reltol=%v\n", tol)
+		return append(appendFloat(append(b, "cmp mean reltol="...), tol), '\n'), nil
 	case compare.SketchComparator:
 		margin := c.Margin
 		if margin <= 0 {
@@ -245,11 +291,11 @@ func fingerprintComparator(w io.Writer, cmp compare.Comparator) error {
 		if len(qs) == 0 {
 			qs = compare.DefaultQuantiles
 		}
-		fmt.Fprintf(w, "cmp sketch margin=%v quantiles=%v\n", margin, qs)
+		b = appendFloat(append(b, "cmp sketch margin="...), margin)
+		return append(appendFloats(append(b, " quantiles="...), qs), '\n'), nil
 	default:
-		return fmt.Errorf("relperf: cannot fingerprint comparator of type %T (only built-in comparators have a canonical identity)", cmp)
+		return nil, fmt.Errorf("relperf: cannot fingerprint comparator of type %T (only built-in comparators have a canonical identity)", cmp)
 	}
-	return nil
 }
 
 // StudySeed derives the seed a study with the given fingerprint runs under
