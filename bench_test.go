@@ -529,10 +529,10 @@ func winRateSamples(n int) (a, b []float64) {
 	return a, b
 }
 
-// benchWinRateNew exercises the shipped index-space kernel: sort-once base
-// samples, counted index resamples, quantiles off the sorted base. The
-// kernel cache is warmed before the timer so the loop shows the
-// steady-state (zero-allocation) cost.
+// benchWinRateNew exercises the shipped index-space kernel on raw samples:
+// both sorted per call, counted index resamples, quantiles off the sorted
+// base. One call before the timer sizes the comparator's scratch, so the
+// loop shows the steady-state (zero-allocation) cost.
 func benchWinRateNew(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		x, y := winRateSamples(n)

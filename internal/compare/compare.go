@@ -114,17 +114,18 @@ type SortedComparator interface {
 //	r <= 0.5 - Margin  →  Worse
 //	otherwise          →  Equivalent
 //
-// The hot path runs in index space (stats.BootKernel): each base sample is
-// sorted exactly once, resamples are drawn as counted index multisets on
-// the identical xrand draw sequence as the classic materialize-and-sort
-// kernel, and all configured quantiles of a resample are read off the
-// sorted base in one batched pass (BootKernel.Quantiles) — O(N) per round
-// instead of the insertion sort's O(N²), bit-identical outcomes. The pass
-// needs ascending quantiles, so each call sorts a copy of Quantiles
-// and plans it once per side (stats.PlanQuantiles); since a win counts 1
-// or ½ whatever order the quantiles are visited in, the list's order never
-// changes a result. A quantile that is NaN or outside [0, 1] fails the
-// call with ErrBadQuantile.
+// The hot path runs in index space over stats.SortedSample views: each
+// base sample is sorted once (see below), resamples are drawn as
+// counted index multisets on the identical xrand draw sequence as the
+// classic materialize-and-sort kernel, and all configured quantiles of a
+// resample are read off the sorted base in one batched pass
+// (SortedSample.Quantiles) — O(N) per round instead of the insertion
+// sort's O(N²), bit-identical outcomes. The pass needs ascending
+// quantiles, so each call sorts a copy of Quantiles and plans it once per
+// side (stats.PlanQuantiles); since a win counts 1 or ½ whatever order the
+// quantiles are visited in, the list's order never changes a result. A
+// quantile that is NaN or outside [0, 1] fails the call with
+// ErrBadQuantile.
 //
 // Compare and CompareSorted seal: once the wins so far fix the outcome
 // whatever the remaining rounds score, those rounds only draw (a, then b)
@@ -132,15 +133,13 @@ type SortedComparator interface {
 // call equal thresholding the full win rate. WinRate and WinRateSorted
 // score every round and return the exact rate.
 //
-// Kernels are cached across Compare calls (keyed by sample identity), so
-// repeated comparisons of the same measurement sets — cluster repetitions,
-// matrix pre-pass trials, race rounds — sort each sample once, ever. The
-// cache assumes sample contents are immutable while the comparator lives,
-// the methodology's footnote-5 contract (measurements are archived, never
-// edited); a probe check on cache hits rebuilds the kernel when a rewrite
-// is detectable (see rawKernel), but callers that rewrite buffers in place
-// should still use a fresh comparator. After the first Compare at a given
-// sample identity, Compare performs zero heap allocations.
+// Compare and WinRate sort both raw samples on every call into views the
+// comparator owns: O(N log N) against the Rounds·N draws, and nothing is
+// remembered between calls, so a buffer rewritten in place is simply
+// compared as it now reads. Engines that compare one fixed sample set many
+// times (footnote 5 of the paper) sort each sample once up front and call
+// CompareSorted. Once a comparator has seen its largest samples, no call
+// makes a heap allocation.
 type Bootstrap struct {
 	rng *xrand.Rand
 	// Quantiles are evaluated on every resample; the defaults probe the
@@ -153,15 +152,14 @@ type Bootstrap struct {
 	// (default 0.3: win rates within [0.2, 0.8] are "equivalent").
 	Margin float64
 
-	// kernels caches one index-space resampling kernel per distinct raw
-	// sample slice; sortedKernels per pre-sorted view; aliasKernels holds
-	// the b-side twin used when both sides of a comparison resolve to the
-	// same kernel (a sample compared against itself), so the two resamples
-	// stay independent exactly as in the value-space kernel. Lazily built,
-	// bounded by maxKernelCache.
-	kernels       map[sampleKey]rawKernel
-	sortedKernels map[*stats.SortedSample]*stats.BootKernel
-	aliasKernels  map[*stats.BootKernel]*stats.BootKernel
+	// counts is the resample counts slab, grown to the largest Na+Nb seen:
+	// a's counts in counts[:Na], b's in counts[Na:Na+Nb], so a sample
+	// compared against itself still draws two independent resamples, as
+	// the value-space kernel did. Before scoring, the raw path sorts with
+	// it as index scratch.
+	counts []int32
+	// raw holds the raw path's views of a and b, re-sorted every call.
+	raw [2]stats.SortedSample
 
 	// scratch, scratchSteps and ranks are score's scratch for calls too
 	// large for its stack buffers, grown once and reused.
@@ -177,29 +175,6 @@ const (
 	stackQuantiles = 4
 	stackRanks     = 64
 )
-
-// rawKernel is a cached kernel plus three probe values from the sample it
-// was built over. A cache hit re-checks the probes, so the common misuse —
-// rewriting a measurement buffer in place and comparing again — rebuilds
-// the kernel instead of silently replaying stale order statistics. (A
-// rewrite that preserves all three probes still goes undetected; the full
-// guarantee remains the documented immutability contract.)
-type rawKernel struct {
-	k           *stats.BootKernel
-	lo, mid, hi float64
-}
-
-// sampleKey identifies a raw measurement slice: same backing array and
-// length means same (immutable) sample.
-type sampleKey struct {
-	ptr *float64
-	n   int
-}
-
-// maxKernelCache bounds the per-comparator kernel caches; at the bound the
-// cache resets rather than grows (a comparator outliving thousands of
-// distinct samples is a leak, not a workload).
-const maxKernelCache = 1024
 
 // DefaultQuantiles probe the body of the distribution.
 var DefaultQuantiles = []float64{0.25, 0.5, 0.75}
@@ -232,7 +207,7 @@ func NewBootstrap(seed uint64) *Bootstrap {
 }
 
 // Fork implements Comparator: the clone shares the decision parameters but
-// owns a fresh generator seeded by seed and its own kernel caches, so forks
+// owns a fresh generator seeded by seed and its own scratch, so forks
 // are safe to use concurrently with each other and with the parent.
 func (c *Bootstrap) Fork(seed uint64) Comparator {
 	return &Bootstrap{
@@ -243,51 +218,20 @@ func (c *Bootstrap) Fork(seed uint64) Comparator {
 	}
 }
 
-// kernelForRaw returns the cached index-space kernel for a raw sample,
-// sorting it on first sight; a hit whose probe values no longer match the
-// slice contents is rebuilt.
-func (c *Bootstrap) kernelForRaw(xs []float64) *stats.BootKernel {
-	key := sampleKey{ptr: &xs[0], n: len(xs)}
-	lo, mid, hi := xs[0], xs[len(xs)/2], xs[len(xs)-1]
-	if rk, ok := c.kernels[key]; ok && rk.lo == lo && rk.mid == mid && rk.hi == hi {
-		return rk.k
+// slab returns the first n entries of the counts slab, growing it to n.
+func (c *Bootstrap) slab(n int) []int32 {
+	if len(c.counts) < n {
+		c.counts = make([]int32, n)
 	}
-	if c.kernels == nil || len(c.kernels) >= maxKernelCache {
-		c.kernels = make(map[sampleKey]rawKernel)
-	}
-	k := stats.NewBootKernel(stats.NewSortedSample(xs))
-	c.kernels[key] = rawKernel{k: k, lo: lo, mid: mid, hi: hi}
-	return k
+	return c.counts[:n]
 }
 
-// kernelForSorted returns the cached kernel over a shared pre-sorted view.
-// The view is immutable and shared; only the kernel's counting scratch is
-// private to this comparator.
-func (c *Bootstrap) kernelForSorted(s *stats.SortedSample) *stats.BootKernel {
-	if k, ok := c.sortedKernels[s]; ok {
-		return k
-	}
-	if c.sortedKernels == nil || len(c.sortedKernels) >= maxKernelCache {
-		c.sortedKernels = make(map[*stats.SortedSample]*stats.BootKernel)
-	}
-	k := stats.NewBootKernel(s)
-	c.sortedKernels[s] = k
-	return k
-}
-
-// aliasKernel returns (building and caching on first use) an independent
-// twin of k over the same sorted base, for comparisons whose two sides
-// resolved to one kernel.
-func (c *Bootstrap) aliasKernel(k *stats.BootKernel) *stats.BootKernel {
-	if twin, ok := c.aliasKernels[k]; ok {
-		return twin
-	}
-	if c.aliasKernels == nil || len(c.aliasKernels) >= maxKernelCache {
-		c.aliasKernels = make(map[*stats.BootKernel]*stats.BootKernel)
-	}
-	twin := stats.NewBootKernel(k.Base())
-	c.aliasKernels[k] = twin
-	return twin
+// sortRaw sorts a and b into the comparator's raw views.
+func (c *Bootstrap) sortRaw(a, b []float64) (sa, sb *stats.SortedSample) {
+	idx := c.slab(max(len(a), len(b)))
+	c.raw[0].Sort(a, idx)
+	c.raw[1].Sort(b, idx)
+	return &c.raw[0], &c.raw[1]
 }
 
 // score is the shared index-space hot loop: per round one index resample
@@ -295,10 +239,8 @@ func (c *Bootstrap) aliasKernel(k *stats.BootKernel) *stats.BootKernel {
 // identical draw order of the classic kernel), then one batched quantile
 // read per side over that side's plan of the ascending copy of Quantiles.
 // It returns the wins in halves (a win adds 2, a tie 1) and the number of
-// quantile comparisons, Rounds·k, so the win rate is half/2/total. Aliased
-// sides get independent twin kernels so a sample compared against itself
-// still draws two independent resamples per round, as the classic kernel
-// did.
+// quantile comparisons, Rounds·k, so the win rate is half/2/total. Each
+// side counts into its own half of the slab.
 //
 // With seal set, scoring stops at the first round where even winning every
 // remaining comparison could not move the rate across a threshold:
@@ -306,7 +248,7 @@ func (c *Bootstrap) aliasKernel(k *stats.BootKernel) *stats.BootKernel {
 // count is then the outcome of the full one. The remaining rounds only
 // Skip, a then b, so the generator ends where the full loop leaves it.
 // The rate of a sealed count is not the full rate; only its outcome is.
-func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int, err error) {
+func (c *Bootstrap) score(a, b *stats.SortedSample, seal bool) (half, total int, err error) {
 	qs := c.Quantiles
 	if len(qs) == 0 {
 		qs = DefaultQuantiles
@@ -332,12 +274,11 @@ func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int,
 		sorted[i] = q
 	}
 	stats.SortSmall(sorted)
-	if ka == kb {
-		kb = c.aliasKernel(ka)
-	}
-	na, nb := ka.Base().N(), kb.Base().N()
-	// Both sides write their sorted resample into one ranks scratch: the
-	// kernels run one after the other.
+	na, nb := a.N(), b.N()
+	counts := c.slab(na + nb)
+	ca, cb := counts[:na], counts[na:]
+	// Both sides write their sorted resample into one ranks scratch: they
+	// are read one after the other.
 	var rankBuf [stackRanks]int32
 	ranks := rankBuf[:]
 	if need := stats.RanksLen(max(na, nb)); need > len(ranks) {
@@ -367,16 +308,16 @@ func (c *Bootstrap) score(ka, kb *stats.BootKernel, seal bool) (half, total int,
 			most := half + 2*k*(rounds-r)
 			if half >= better || most <= worse || (half > worse && most < better) {
 				for ; r < rounds; r++ {
-					ka.Skip(c.rng)
-					kb.Skip(c.rng)
+					a.Skip(c.rng)
+					b.Skip(c.rng)
 				}
 				break
 			}
 		}
-		ka.Resample(c.rng)
-		kb.Resample(c.rng)
-		ka.Quantiles(planA, ranks, qa)
-		kb.Quantiles(planB, ranks, qb)
+		a.Resample(c.rng, ca)
+		b.Resample(c.rng, cb)
+		a.Quantiles(ca, planA, ranks, qa)
+		b.Quantiles(cb, planB, ranks, qb)
 		for i, va := range qa {
 			vb := qb[i]
 			switch {
@@ -434,7 +375,8 @@ func (c *Bootstrap) WinRate(a, b []float64) (float64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, ErrBadSample
 	}
-	half, total, err := c.score(c.kernelForRaw(a), c.kernelForRaw(b), false)
+	sa, sb := c.sortRaw(a, b)
+	half, total, err := c.score(sa, sb, false)
 	if err != nil {
 		return 0, err
 	}
@@ -447,7 +389,7 @@ func (c *Bootstrap) WinRateSorted(a, b *stats.SortedSample) (float64, error) {
 	if a.N() == 0 || b.N() == 0 {
 		return 0, ErrBadSample
 	}
-	half, total, err := c.score(c.kernelForSorted(a), c.kernelForSorted(b), false)
+	half, total, err := c.score(a, b, false)
 	if err != nil {
 		return 0, err
 	}
@@ -477,7 +419,7 @@ func (c *Bootstrap) Compare(a, b []float64) (Outcome, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return Equivalent, ErrBadSample
 	}
-	return c.sealed(c.kernelForRaw(a), c.kernelForRaw(b))
+	return c.sealed(c.sortRaw(a, b))
 }
 
 // CompareSorted implements SortedComparator, sealing like Compare.
@@ -485,12 +427,12 @@ func (c *Bootstrap) CompareSorted(a, b *stats.SortedSample) (Outcome, error) {
 	if a.N() == 0 || b.N() == 0 {
 		return Equivalent, ErrBadSample
 	}
-	return c.sealed(c.kernelForSorted(a), c.kernelForSorted(b))
+	return c.sealed(a, b)
 }
 
-// sealed thresholds a sealing score of ka against kb.
-func (c *Bootstrap) sealed(ka, kb *stats.BootKernel) (Outcome, error) {
-	half, total, err := c.score(ka, kb, true)
+// sealed thresholds a sealing score of a against b.
+func (c *Bootstrap) sealed(a, b *stats.SortedSample) (Outcome, error) {
+	half, total, err := c.score(a, b, true)
 	if err != nil {
 		return Equivalent, err
 	}

@@ -53,9 +53,9 @@ func sealRound(c *Bootstrap, halves []int, k int) int {
 // vacuously, so the test also shows that sealing fires. A round stepper (a
 // third twin with Rounds = 1) replays the per-round wins, from which
 // sealRound finds where scoring may stop. When that is strictly inside the
-// loop, the sealed fork's a-side kernel must still hold the resample of
-// its last scored round, unlike the full fork's: the test reads both
-// kernels' quantiles and fails if they never differ.
+// loop, the sealed fork's a-half of its counts slab must still hold the
+// resample of its last scored round, unlike the full fork's: the test
+// reads both a-side resamples' quantiles and fails if they never differ.
 func TestBootstrapSealedCompareMatchesWinRate(t *testing.T) {
 	rng := xrand.New(2406)
 	seps := []float64{0.6, 0.85, 0.95, 1, 1, 1.05, 1.15, 1.6}
@@ -73,7 +73,7 @@ func TestBootstrapSealedCompareMatchesWinRate(t *testing.T) {
 		a := sample(rng, na, 1, sigma)
 		b := sample(rng, nb, sep, sigma)
 		if rng.Intn(6) == 0 {
-			b = a // aliased: both sides resolve to one kernel
+			b = a // aliased: both sides are one sample
 		}
 		proto := &Bootstrap{
 			Quantiles: sealQuantileLists[rng.Intn(len(sealQuantileLists))],
@@ -137,14 +137,10 @@ func TestBootstrapSealedCompareMatchesWinRate(t *testing.T) {
 			rounds += n
 			skipped += n - at
 			if at > 0 && at < n {
-				ks, kf := sealed.kernelForRaw(a), full.kernelForRaw(a)
-				if sortedSide {
-					ks = sealed.kernelForSorted(sa)
-				}
 				plan := stats.PlanQuantiles(probe, na, nil)
 				ranks := make([]int32, stats.RanksLen(na))
-				ks.Quantiles(plan, ranks, gotQ)
-				kf.Quantiles(plan, ranks, wantQ)
+				sa.Quantiles(sealed.counts[:na], plan, ranks, gotQ)
+				sa.Quantiles(full.counts[:na], plan, ranks, wantQ)
 				for i := range gotQ {
 					if gotQ[i] != wantQ[i] {
 						stale++
@@ -160,7 +156,7 @@ func TestBootstrapSealedCompareMatchesWinRate(t *testing.T) {
 		}
 	}
 	if skipped == 0 || stale == 0 {
-		t.Fatalf("sealing never fired: %d of %d rounds sealable, %d sealed kernels left on an earlier resample",
+		t.Fatalf("sealing never fired: %d of %d rounds sealable, %d sealed a-sides left on an earlier resample",
 			skipped, rounds, stale)
 	}
 	t.Logf("outcomes %v; sealing skipped %d of %d rounds (%.0f%%)",

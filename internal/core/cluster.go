@@ -142,7 +142,10 @@ func Cluster(p int, opts ClusterOptions) (*ClusterResult, error) {
 func runReps(p, reps int, opts ClusterOptions) ([]*SortResult, error) {
 	results := make([]*SortResult, reps)
 	err := pool.ForEach(opts.Ctx, opts.Pool, reps, opts.Workers, func(rep int) error {
-		rng := xrand.NewKeyed(opts.Seed, uint64(2*rep))
+		// Seeded in place: the stream of xrand.NewKeyed without its heap
+		// generator.
+		var rng xrand.Rand
+		rng.Seed(xrand.Mix(opts.Seed, uint64(2*rep)))
 		cmp := opts.Fork(xrand.Mix(opts.Seed, uint64(2*rep+1)))
 		sr, err := Sort(p, cmp, SortOptions{Initial: rng.Perm(p)})
 		if err != nil {

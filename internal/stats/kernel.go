@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"relperf/internal/xrand"
 )
@@ -43,37 +44,50 @@ import (
 
 // SortedSample is a base sample sorted exactly once, together with the
 // original-index → sorted-rank permutation that lets index-space resampling
-// replay the exact value sequence of a value-space resample. It is
-// immutable after construction and safe for concurrent use; per-resample
-// mutable state lives in BootKernel.
+// replay the exact value sequence of a value-space resample. Once shared it
+// is read-only and safe for concurrent use; a resample is a counts slice
+// the caller owns (counts[r] = multiplicity of sorted rank r), so any
+// number of goroutines resample one view, each into its own counts.
 type SortedSample struct {
 	values []float64 // ascending copy of the base sample
 	rank   []int32   // rank[i] = position of base[i] in values
 }
 
-// NewSortedSample copies and sorts xs (ties keep their original relative
-// order, which never matters for the value sequence: tied values are
-// identical floats). NaNs order first, matching sort.Float64s, so even
-// unvalidated inputs sort the same way the value-space paths do.
+// NewSortedSample copies and sorts xs (see Sort).
 func NewSortedSample(xs []float64) *SortedSample {
+	s := new(SortedSample)
+	s.Sort(xs, make([]int32, len(xs)))
+	return s
+}
+
+// Sort makes s the sorted view of xs, reusing s's storage when it is large
+// enough; idx is index scratch of at least len(xs). The order is stable:
+// ties, which never matter for the value sequence (tied values are
+// identical floats), keep their original relative order because the
+// comparison breaks them by index, which also makes the order total, so
+// the result is unique. NaNs order first, matching sort.Float64s, so even
+// unvalidated inputs sort the same way the value-space paths do. Only the
+// view's single owner may re-sort it.
+func (s *SortedSample) Sort(xs []float64, idx []int32) {
 	n := len(xs)
-	s := &SortedSample{
-		values: make([]float64, n),
-		rank:   make([]int32, n),
+	if cap(s.values) < n {
+		s.values, s.rank = make([]float64, n), make([]int32, n)
 	}
-	idx := make([]int32, n)
+	s.values, s.rank = s.values[:n], s.rank[:n]
+	idx = idx[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		va, vb := xs[idx[a]], xs[idx[b]]
-		return va < vb || (math.IsNaN(va) && !math.IsNaN(vb))
+	slices.SortFunc(idx, func(i, j int32) int {
+		if c := cmp.Compare(xs[i], xs[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
 	})
 	for r, i := range idx {
 		s.values[r] = xs[i]
 		s.rank[i] = int32(r)
 	}
-	return s
 }
 
 // N returns the sample size.
@@ -89,17 +103,8 @@ func (s *SortedSample) Quantile(q float64) float64 {
 	return QuantileSorted(s.values, q)
 }
 
-// BootKernel draws bootstrap resamples of one SortedSample in index space.
-// It owns the per-resample counting scratch, so one kernel must not be used
-// concurrently; concurrent engines hold one kernel per goroutine over the
-// same shared SortedSample.
-type BootKernel struct {
-	base   *SortedSample
-	counts []int32 // counts[r] = multiplicity of sorted rank r in the resample
-}
-
 // drawBatch is how many draws Resample and Skip take per xrand.Rand.Intns
-// call. The batch lives on the stack, so a kernel holds no draw buffer,
+// call. The batch lives on the stack, so a resample needs no draw buffer,
 // and one batch covers a whole resample for the usual sample sizes.
 const drawBatch = 32
 
@@ -114,26 +119,15 @@ type rankRun = [4]int32
 // may overrun.
 func RanksLen(n int) int { return n + len(rankRun{}) }
 
-// NewBootKernel returns a kernel over base.
-func NewBootKernel(base *SortedSample) *BootKernel {
-	return &BootKernel{base: base, counts: make([]int32, base.N())}
-}
-
-// Base returns the shared sorted sample the kernel resamples. Engines that
-// must hold two independent resamples of one base (a sample compared
-// against itself) build a second kernel over the same Base.
-func (k *BootKernel) Base() *SortedSample { return k.base }
-
-// Resample draws one bootstrap resample (size N, with replacement) as an
-// index multiset, consuming exactly the draw sequence of
-// xrand.Rand.Resample over the original sample: the N draws of Intn(N),
-// taken in xrand.Rand.Intns batches, each drawn index then mapped to its
-// sorted rank. The counting sort is implicit — incrementing counts[rank]
-// IS the sort.
-func (k *BootKernel) Resample(rng *xrand.Rand) {
-	counts := k.counts
+// Resample draws one bootstrap resample (size N, with replacement) into
+// counts, which must hold N entries, as an index multiset, consuming
+// exactly the draw sequence of xrand.Rand.Resample over the original
+// sample: the N draws of Intn(N), taken in xrand.Rand.Intns batches, each
+// drawn index then mapped to its sorted rank. The counting sort is
+// implicit — incrementing counts[rank] IS the sort.
+func (s *SortedSample) Resample(rng *xrand.Rand, counts []int32) {
 	clear(counts)
-	rank := k.base.rank
+	rank := s.rank
 	n := len(rank)
 	var batch [drawBatch]int
 	for left := n; left > 0; left -= drawBatch {
@@ -145,12 +139,12 @@ func (k *BootKernel) Resample(rng *xrand.Rand) {
 	}
 }
 
-// Skip advances rng exactly as Resample would and discards the draws: the
-// counts keep the previous resample. Engines whose result no longer
-// depends on the remaining rounds call it to keep the generator on the
-// stream the full loop would leave.
-func (k *BootKernel) Skip(rng *xrand.Rand) {
-	n := len(k.counts)
+// Skip advances rng exactly as Resample would and discards the draws, so
+// the caller's counts keep the previous resample. Engines whose result no
+// longer depends on the remaining rounds call it to keep the generator on
+// the stream the full loop would leave.
+func (s *SortedSample) Skip(rng *xrand.Rand) {
+	n := s.N()
 	var batch [drawBatch]int
 	for left := n; left > 0; left -= drawBatch {
 		rng.Intns(batch[:min(left, drawBatch)], n)
@@ -170,7 +164,7 @@ type QuantileStep struct {
 // sample size: each quantile's lower rank and interpolation weight, with
 // the validity and ascending-order checks already done. Build it once with
 // PlanQuantiles and read any number of resamples of that size with
-// BootKernel.Quantiles.
+// SortedSample.Quantiles.
 type QuantilePlan struct {
 	n     int
 	top   int // highest sorted position any step reads; -1 if none
@@ -213,22 +207,21 @@ func PlanQuantiles(qs []float64, n int, buf []QuantileStep) QuantilePlan {
 	return QuantilePlan{n: n, top: top, steps: steps}
 }
 
-// Quantiles fills out[i] with the i-th planned quantile of the current
-// resample, each bit-identical to QuantileSorted over the value-sorted
+// Quantiles fills out[i] with the i-th planned quantile of the resample in
+// counts, each bit-identical to QuantileSorted over the value-sorted
 // resample. It writes the sorted resample into ranks — position j holds
 // the sorted rank of the resample's j-th smallest value, each rank r a run
 // of counts[r] positions — one rankRun block per rank, stopping past the
 // plan's highest position, then reads each quantile's two bracketing
 // order statistics by position. The interpolation is QuantileSorted's
 // arithmetic, so ties, ±Inf and NaN base values come out exactly as they
-// do there. Call it after Resample; the plan must be for the kernel's
-// sample size, ranks at least RanksLen(N) long and out at least as long as
-// the quantile list the plan was built from. Kernels used one at a time
-// may share one ranks scratch.
-func (k *BootKernel) Quantiles(p QuantilePlan, ranks []int32, out []float64) {
-	counts := k.counts
-	if p.n != len(counts) {
-		panic("stats: BootKernel.Quantiles plan is for another sample size")
+// do there. Call it after Resample; counts and the plan must be for the
+// view's sample size, ranks at least RanksLen(N) long and out at least as
+// long as the quantile list the plan was built from. Resamples read one at
+// a time may share one ranks scratch.
+func (s *SortedSample) Quantiles(counts []int32, p QuantilePlan, ranks []int32, out []float64) {
+	if p.n != s.N() || len(counts) != p.n {
+		panic("stats: SortedSample.Quantiles plan or counts are for another sample size")
 	}
 	start := 0 // first position of rank r's run
 	for r, c := range counts {
@@ -243,7 +236,7 @@ func (k *BootKernel) Quantiles(p QuantilePlan, ranks []int32, out []float64) {
 		}
 		start = end
 	}
-	values := k.base.values
+	values := s.values
 	for i, st := range p.steps {
 		if st.lo < 0 {
 			out[i] = math.NaN()

@@ -4,7 +4,7 @@ package stats_test
 // determinism contract on arbitrary input: for any sample (ties, NaN, ±Inf,
 // N = 0, 1, 2, ...), any generator seed and any ascending quantile list
 // that includes 0 and 1, one index-space resample read by one
-// BootKernel.Quantiles pass over the list's PlanQuantiles plan equals
+// SortedSample.Quantiles pass over the list's PlanQuantiles plan equals
 // QuantileSorted over the value-space xrand.Resample of the same generator
 // state, NaN for NaN, and both paths leave the generator in the same state.
 
@@ -65,18 +65,18 @@ func FuzzBootKernelQuantiles(f *testing.F) {
 		}
 		qs := fuzzQuantiles(qraw)
 
-		k := stats.NewBootKernel(stats.NewSortedSample(xs))
+		s, counts := stats.NewSortedSample(xs), make([]int32, n)
 		plan := stats.PlanQuantiles(qs, n, nil)
 		rngIdx, rngVal := xrand.New(seed), xrand.New(seed)
 		buf := make([]float64, n)
 		got := make([]float64, len(qs))
 		ranks := make([]int32, stats.RanksLen(n))
 		for round := 0; round < 3; round++ {
-			k.Resample(rngIdx)
+			s.Resample(rngIdx, counts)
 			rngVal.Resample(buf, xs)
 			// sort.Float64s orders NaNs first, as NewSortedSample does.
 			sort.Float64s(buf)
-			k.Quantiles(plan, ranks, got)
+			s.Quantiles(counts, plan, ranks, got)
 			for i, q := range qs {
 				want := stats.QuantileSorted(buf, q)
 				if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -48,13 +49,32 @@ func TestSortedSampleValuesAndRanks(t *testing.T) {
 	}
 }
 
-// assertQuantilesMatch fails unless the kernel's batched quantiles of its
-// current resample equal QuantileSorted over sorted, the same resample
-// drawn in value space and sorted, quantile by quantile (NaN matching NaN).
-func assertQuantilesMatch(t *testing.T, k *BootKernel, sorted, qs []float64, ctx string) {
+// TestSortedSampleResortMatchesNew: one view re-sorted through growing
+// and shrinking samples, its storage reused, reads exactly as a fresh
+// NewSortedSample of each, ranks included.
+func TestSortedSampleResortMatchesNew(t *testing.T) {
+	var s SortedSample
+	idx := make([]int32, 40)
+	for _, n := range []int{10, 3, 40, 0, 7} {
+		xs := lognormalSample(xrand.New(uint64(n)), n)
+		if n > 2 {
+			xs[1] = xs[n-1] // a tie
+		}
+		s.Sort(xs, idx)
+		want := NewSortedSample(xs)
+		if !slices.Equal(s.values, want.values) || !slices.Equal(s.rank, want.rank) {
+			t.Fatalf("N=%d: re-sorted view %v/%v, fresh %v/%v", n, s.values, s.rank, want.values, want.rank)
+		}
+	}
+}
+
+// assertQuantilesMatch fails unless the batched quantiles of the resample
+// of s in counts equal QuantileSorted over sorted, the same resample drawn
+// in value space and sorted, quantile by quantile (NaN matching NaN).
+func assertQuantilesMatch(t *testing.T, s *SortedSample, counts []int32, sorted, qs []float64, ctx string) {
 	t.Helper()
 	got := make([]float64, len(qs))
-	k.Quantiles(PlanQuantiles(qs, k.Base().N(), nil), make([]int32, RanksLen(k.Base().N())), got)
+	s.Quantiles(counts, PlanQuantiles(qs, s.N(), nil), make([]int32, RanksLen(s.N())), got)
 	for i, q := range qs {
 		want := QuantileSorted(sorted, q)
 		if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
@@ -74,7 +94,7 @@ func TestBootKernelMatchesValueSpaceResample(t *testing.T) {
 	body := []float64{0.25, 0.5, 0.75}
 	for _, n := range []int{1, 2, 3, 10, drawBatch, drawBatch + 1, 50, 500, 5000} {
 		xs := lognormalSample(xrand.New(uint64(n)), n)
-		k := NewBootKernel(NewSortedSample(xs))
+		s, counts := NewSortedSample(xs), make([]int32, n)
 		rngIdx := xrand.New(42)
 		rngVal := xrand.New(42)
 		buf := make([]float64, n)
@@ -83,11 +103,11 @@ func TestBootKernelMatchesValueSpaceResample(t *testing.T) {
 			rounds = 5
 		}
 		for round := 0; round < rounds; round++ {
-			k.Resample(rngIdx)
+			s.Resample(rngIdx, counts)
 			rngVal.Resample(buf, xs)
 			SortSmall(buf)
 			for _, qs := range [][]float64{full, body} {
-				assertQuantilesMatch(t, k, buf, qs, fmt.Sprintf("N=%d round=%d qs=%v", n, round, qs))
+				assertQuantilesMatch(t, s, counts, buf, qs, fmt.Sprintf("N=%d round=%d qs=%v", n, round, qs))
 			}
 		}
 	}
@@ -97,15 +117,15 @@ func TestBootKernelTiedValues(t *testing.T) {
 	// Heavy ties exercise the rank assignment and the write-out of
 	// multi-count ranks, including several quantiles landing on one rank.
 	xs := []float64{2, 2, 1, 1, 1, 3, 2, 1}
-	k := NewBootKernel(NewSortedSample(xs))
+	s, counts := NewSortedSample(xs), make([]int32, len(xs))
 	rngIdx := xrand.New(9)
 	rngVal := xrand.New(9)
 	buf := make([]float64, len(xs))
 	for round := 0; round < 200; round++ {
-		k.Resample(rngIdx)
+		s.Resample(rngIdx, counts)
 		rngVal.Resample(buf, xs)
 		SortSmall(buf)
-		assertQuantilesMatch(t, k, buf, []float64{0, 0.25, 0.5, 0.75, 1}, fmt.Sprintf("round=%d", round))
+		assertQuantilesMatch(t, s, counts, buf, []float64{0, 0.25, 0.5, 0.75, 1}, fmt.Sprintf("round=%d", round))
 	}
 }
 
@@ -114,19 +134,19 @@ func TestBootKernelTiedValues(t *testing.T) {
 // pin them against the value-space resample at every position.
 func TestBootKernelLongRuns(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 6, 3}
-	k := NewBootKernel(NewSortedSample(xs))
+	s, counts := NewSortedSample(xs), make([]int32, len(xs))
 	rngIdx, rngVal := xrand.New(21), xrand.New(21)
 	buf := make([]float64, len(xs))
 	qs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 	long := 0
 	for round := 0; round < 20000 && long < 20; round++ {
-		k.Resample(rngIdx)
+		s.Resample(rngIdx, counts)
 		rngVal.Resample(buf, xs)
 		SortSmall(buf)
-		for _, c := range k.counts {
+		for _, c := range counts {
 			if int(c) > len(rankRun{}) {
 				long++
-				assertQuantilesMatch(t, k, buf, qs, fmt.Sprintf("round=%d counts=%v", round, k.counts))
+				assertQuantilesMatch(t, s, counts, buf, qs, fmt.Sprintf("round=%d counts=%v", round, counts))
 				break
 			}
 		}
@@ -152,24 +172,24 @@ func TestSortedSampleNaNOrdering(t *testing.T) {
 }
 
 func TestBootKernelQuantileEdgeCases(t *testing.T) {
-	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
-	k.Resample(xrand.New(1))
+	s, counts := NewSortedSample([]float64{1, 2, 3}), make([]int32, 3)
+	s.Resample(xrand.New(1), counts)
 	out := make([]float64, 4)
-	k.Quantiles(PlanQuantiles([]float64{-0.1, 0.5, math.NaN(), 1.1}, 3, nil), make([]int32, RanksLen(3)), out)
+	s.Quantiles(counts, PlanQuantiles([]float64{-0.1, 0.5, math.NaN(), 1.1}, 3, nil), make([]int32, RanksLen(3)), out)
 	if !math.IsNaN(out[0]) || math.IsNaN(out[1]) || !math.IsNaN(out[2]) || !math.IsNaN(out[3]) {
 		t.Fatalf("out-of-range and NaN q must yield NaN, in-range q a value: %v", out)
 	}
-	empty := NewBootKernel(NewSortedSample(nil))
-	empty.Resample(xrand.New(1))
-	empty.Quantiles(PlanQuantiles([]float64{0.5}, 0, nil), make([]int32, RanksLen(0)), out)
+	empty := NewSortedSample(nil)
+	empty.Resample(xrand.New(1), nil)
+	empty.Quantiles(nil, PlanQuantiles([]float64{0.5}, 0, nil), make([]int32, RanksLen(0)), out)
 	if !math.IsNaN(out[0]) {
-		t.Fatal("empty kernel must yield NaN")
+		t.Fatal("empty sample must yield NaN")
 	}
-	one := NewBootKernel(NewSortedSample([]float64{7}))
-	one.Resample(xrand.New(2))
-	one.Quantiles(PlanQuantiles([]float64{0, 0.5, 1}, 1, nil), make([]int32, RanksLen(1)), out)
+	one, oneCounts := NewSortedSample([]float64{7}), make([]int32, 1)
+	one.Resample(xrand.New(2), oneCounts)
+	one.Quantiles(oneCounts, PlanQuantiles([]float64{0, 0.5, 1}, 1, nil), make([]int32, RanksLen(1)), out)
 	if out[0] != 7 || out[1] != 7 || out[2] != 7 {
-		t.Fatalf("single-element kernel must return the element: %v", out[:3])
+		t.Fatalf("single-element sample must return the element: %v", out[:3])
 	}
 }
 
@@ -186,30 +206,41 @@ func TestBootKernelQuantilesRejectsDescending(t *testing.T) {
 }
 
 // TestBootKernelQuantilesRejectsForeignPlan: a plan fixes the ranks of one
-// sample size, so reading it off a kernel of another size must panic
-// rather than return the wrong order statistics.
+// sample size, so reading it, or counts of another size, off a sample of
+// another size must panic rather than return the wrong order statistics.
 func TestBootKernelQuantilesRejectsForeignPlan(t *testing.T) {
-	k := NewBootKernel(NewSortedSample([]float64{1, 2, 3}))
-	k.Resample(xrand.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a plan for N=4 was read off an N=3 kernel")
-		}
-	}()
-	k.Quantiles(PlanQuantiles([]float64{0.5}, 4, nil), make([]int32, RanksLen(4)), make([]float64, 1))
+	s, counts := NewSortedSample([]float64{1, 2, 3}), make([]int32, 3)
+	s.Resample(xrand.New(1), counts)
+	for name, read := range map[string]func(){
+		"a plan for N=4": func() {
+			s.Quantiles(counts, PlanQuantiles([]float64{0.5}, 4, nil), make([]int32, RanksLen(4)), make([]float64, 1))
+		},
+		"counts for N=4": func() {
+			s.Quantiles(make([]int32, 4), PlanQuantiles([]float64{0.5}, 3, nil), make([]int32, RanksLen(4)), make([]float64, 1))
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s was read off an N=3 sample", name)
+				}
+			}()
+			read()
+		}()
+	}
 }
 
-// TestBootKernelResampleDrawSequence: the kernel must consume exactly the
+// TestBootKernelResampleDrawSequence: Resample must consume exactly the
 // Intn sequence of xrand.Rand.Resample, so a generator shared between
 // interleaved index- and value-space stages stays in lockstep.
 func TestBootKernelResampleDrawSequence(t *testing.T) {
 	xs := lognormalSample(xrand.New(3), 40)
-	k := NewBootKernel(NewSortedSample(xs))
+	s, counts := NewSortedSample(xs), make([]int32, len(xs))
 	a := xrand.New(11)
 	b := xrand.New(11)
 	buf := make([]float64, len(xs))
 	for round := 0; round < 10; round++ {
-		k.Resample(a)
+		s.Resample(a, counts)
 		b.Resample(buf, xs)
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("round %d: generators diverged", round)
@@ -224,20 +255,20 @@ func TestBootKernelResampleDrawSequence(t *testing.T) {
 func TestBootKernelSkipDrawSequence(t *testing.T) {
 	for _, n := range []int{25, 2*drawBatch + 5} {
 		xs := lognormalSample(xrand.New(5), n)
-		k := NewBootKernel(NewSortedSample(xs))
+		s, counts := NewSortedSample(xs), make([]int32, n)
 		skipped, drawn := xrand.New(12), xrand.New(12)
-		k.Resample(skipped)
+		s.Resample(skipped, counts)
 		drawn.Resample(make([]float64, len(xs)), xs)
-		before := append([]int32(nil), k.counts...)
+		before := append([]int32(nil), counts...)
 		buf := make([]float64, len(xs))
 		for round := 0; round < 10; round++ {
-			k.Skip(skipped)
+			s.Skip(skipped)
 			drawn.Resample(buf, xs)
 		}
 		if skipped.Uint64() != drawn.Uint64() {
 			t.Fatalf("N=%d: Skip consumed a different number of draws than Resample", n)
 		}
-		for r, c := range k.counts {
+		for r, c := range counts {
 			if c != before[r] {
 				t.Fatalf("N=%d: Skip changed counts[%d]: %d -> %d", n, r, before[r], c)
 			}
@@ -247,7 +278,7 @@ func TestBootKernelSkipDrawSequence(t *testing.T) {
 
 func BenchmarkBootKernelResampleQuantiles(b *testing.B) {
 	xs := lognormalSample(xrand.New(1), 500)
-	k := NewBootKernel(NewSortedSample(xs))
+	s, counts := NewSortedSample(xs), make([]int32, len(xs))
 	rng := xrand.New(2)
 	plan := PlanQuantiles([]float64{0.25, 0.5, 0.75}, len(xs), nil)
 	out := make([]float64, len(plan.steps))
@@ -255,7 +286,7 @@ func BenchmarkBootKernelResampleQuantiles(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Resample(rng)
-		k.Quantiles(plan, ranks, out)
+		s.Resample(rng, counts)
+		s.Quantiles(counts, plan, ranks, out)
 	}
 }

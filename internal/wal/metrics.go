@@ -35,7 +35,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		replayed: reg.Counter("wal_replayed_records_total",
 			"Records recovered and replayed at open."),
 		appendSeconds: reg.Histogram("wal_append_seconds",
-			"Full append latency: encode, write, fsync.", nil),
+			"Append latency of one encoded frame: lock wait, write, fsync (encoding is not timed).", nil),
 		fsyncSeconds: reg.Histogram("wal_fsync_seconds",
 			"fsync portion of append latency.", nil),
 	}
