@@ -37,9 +37,10 @@ vet:
 	$(GO) run ./cmd/metricslint .
 
 # Runs each fuzzer for FUZZTIME on top of the committed seed corpus: spec
-# parsing, result decoding, suite-request decoding, WAL frame decoding (and
-# the strict checkpoint reader against the recovering one) and
-# sketch decoding must never panic and must stay canonical, the batched
+# parsing, result decoding (which accepts only a document that is its own
+# re-encoding), suite-request decoding, WAL frame decoding (and the strict
+# checkpoint reader against the recovering one) and sketch decoding must
+# never panic and must stay canonical, the batched
 # bootstrap kernel must match the value-space resample on any sample, and a
 # bulk draw must equal the same number of Intn calls for any bound.
 # `go test -fuzz` takes one target per invocation, hence one line per fuzzer.

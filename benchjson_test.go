@@ -6,12 +6,14 @@
 package relperf_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
 
 	"relperf"
+	"relperf/internal/report"
 	"relperf/internal/stats"
 	"relperf/internal/xrand"
 )
@@ -132,6 +134,53 @@ func BenchmarkSketchVsExactStudy(b *testing.B) {
 	b.Run("sketch", benchStudyAt(1000, 10, 256))
 }
 
+// resultGoldens are the two committed result documents, exact and
+// sketch, the result-codec benchmarks run on.
+var resultGoldens = []struct{ name, path string }{
+	{"v1", "testdata/result_v1_golden.json"},
+	{"sketch", "testdata/result_sketch_golden.json"},
+}
+
+// benchResultCodec measures one operation of the relperf/result/v1 codec
+// on a golden document: "decode" parses and validates it, "encode" writes
+// the decoded result's canonical bytes, and "canonical" is the intake
+// check every restored, replicated or remote result passes (decode,
+// re-encode, compare).
+func benchResultCodec(op, path string) func(b *testing.B) {
+	return func(b *testing.B) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blob := bytes.TrimSuffix(raw, []byte("\n"))
+		doc, err := report.Canonical(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := map[string]func() error{
+			"decode":    func() error { _, err := report.UnmarshalResult(blob); return err },
+			"encode":    func() error { _, err := report.MarshalResult(doc); return err },
+			"canonical": func() error { _, err := report.Canonical(blob); return err },
+		}[op]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkResultCodec runs every codec operation on both goldens.
+func BenchmarkResultCodec(b *testing.B) {
+	for _, op := range []string{"decode", "encode", "canonical"} {
+		for _, g := range resultGoldens {
+			b.Run(op+"/"+g.name, benchResultCodec(op, g.path))
+		}
+	}
+}
+
 // wireBytesPerMeasurement runs one N=2000 Table-I study in the given mode
 // and divides its wire-document size by the campaign's total measurement
 // count (8 placements × N).
@@ -209,6 +258,12 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 		ServeNsPerOp:              float64(serve.NsPerOp()),
 		SketchBytesPerMeasurement: wireBytesPerMeasurement(t, 256),
 		ExactBytesPerMeasurement:  wireBytesPerMeasurement(t, 0),
+	}
+	for _, op := range []string{"decode", "encode", "canonical"} {
+		for _, g := range resultGoldens {
+			report.Benchmarks = append(report.Benchmarks,
+				record("ResultCodec/"+op+"/"+g.name, testing.Benchmark(benchResultCodec(op, g.path))))
+		}
 	}
 	if sketchAdd.AllocsPerOp() > 0 {
 		t.Errorf("Sketch.Add allocates %d/op at steady state, want 0", sketchAdd.AllocsPerOp())

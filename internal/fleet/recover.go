@@ -9,6 +9,7 @@ import (
 
 	"relperf"
 	"relperf/internal/pool"
+	"relperf/internal/report"
 	"relperf/internal/wal"
 )
 
@@ -23,9 +24,10 @@ type ReplayCounts struct {
 // A spec must resolve through the declarative schema to the fingerprint it
 // was written under; a mismatch means the engine changed under the log,
 // and a recompute under the old identity would break determinism. A
-// result must decode as a schema-valid result document (it is not
-// re-encoded: that fixed-point check is relperf.VerifyGridResult's, for
-// remote workers). A task record is the coordinator's and passes as is.
+// result must pass report.Canonical: a schema-valid document that is the
+// encoding of its own result, so a respelled number or an added space is
+// refused even under a valid CRC. A task record is the coordinator's and
+// passes as is.
 func validate(rec wal.Record, suiteSeed uint64) error {
 	switch rec.Type {
 	case wal.TypeSpec:
@@ -45,7 +47,7 @@ func validate(rec wal.Record, suiteSeed uint64) error {
 			return fmt.Errorf("spec resolves to fingerprint %s (schema or engine changed); remove the log and resubmit", fp)
 		}
 	case wal.TypeResult:
-		if _, err := relperf.UnmarshalResultWire(rec.Data); err != nil {
+		if _, err := report.Canonical(rec.Data); err != nil {
 			return err
 		}
 	case wal.TypeTask:

@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -302,15 +303,39 @@ func corruptions(t *testing.T, clean []byte, seed uint64) []corruption {
 	}
 	rekey := reframe(func(cp []wal.Record) { cp[spec].Fingerprint = other })
 	notResult := reframe(func(cp []wal.Record) { cp[res].Data = json.RawMessage(`{"not":"a result"}`) })
+	nonCanonical := reframe(func(cp []wal.Record) { cp[res].Data = respelled(t, cp[res].Data) })
 
 	return []corruption{
 		{"digit-flip", flip, res, recs[res].Fingerprint, recs[res].Offset},
 		{"spec-rekey", rekey, spec, other, recs[spec].Offset},
 		{"not-a-result", notResult, res, recs[res].Fingerprint, recs[res].Offset},
+		{"non-canonical", nonCanonical, res, recs[res].Fingerprint, recs[res].Offset},
 		{"truncated", clean[:len(clean)-5], res, recs[res].Fingerprint, recs[res].Offset},
 		{"v1-json", []byte(`{"schema":"relperf/fleet-snapshot/v1","seed":11,"entries":[]}`), -2, "", 0},
 	}
 }
+
+// respelled is doc with a space after its first colon and its first 0.0…
+// number in exponent form (0.052… as 5.2…e-2): the same result in other
+// bytes, which no CRC can tell from the canonical ones.
+func respelled(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	m := smallFloat.FindSubmatchIndex(doc)
+	if m == nil {
+		t.Fatalf("no 0.0… number to respell in %.80s", doc)
+	}
+	zeros, digits := m[5]-m[4], string(doc[m[6]:m[7]])
+	num := digits[:1]
+	if len(digits) > 1 {
+		num += "." + digits[1:]
+	}
+	out := fmt.Appendf(nil, "%s%se-%d%s", doc[:m[2]], num, zeros+1, doc[m[3]:])
+	return bytes.Replace(out, []byte(`":`), []byte(`": `), 1)
+}
+
+// smallFloat matches a whole number 0.0…: its zeros after the point and
+// its significant digits.
+var smallFloat = regexp.MustCompile(`[\[:,](0\.(0*)([1-9][0-9]*))[,\]}]`)
 
 // wantNamed asserts err is a refusal naming c's record, or for the v1
 // snapshot, its schema.

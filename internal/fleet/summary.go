@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"sort"
 
-	"relperf"
+	"relperf/internal/report"
 	"relperf/internal/stats"
 )
 
@@ -56,11 +56,12 @@ type StudySummary struct {
 }
 
 // SummarizeResult reduces a stored canonical result document to its
-// quantile summary. Sketch-mode documents answer straight from the
-// sketches; exact-mode documents pay one sort per algorithm — a cold
-// dashboard path, not the serving path.
+// quantile summary; a document that is not canonical (report.Canonical)
+// is refused. Sketch-mode documents answer straight from the sketches;
+// exact-mode documents pay one sort per algorithm — a cold dashboard path,
+// not the serving path.
 func SummarizeResult(fp string, blob []byte) (*StudySummary, error) {
-	res, err := relperf.UnmarshalResultWire(blob)
+	res, err := report.Canonical(blob)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: summarizing %s: %w", fp, err)
 	}

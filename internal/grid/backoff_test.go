@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"relperf"
+	"relperf/internal/report"
 	"relperf/internal/wal"
 )
 
@@ -267,7 +268,7 @@ func TestTaskJournalSurvivesRestart(t *testing.T) {
 	if rec.Outcome != "fallback" || rec.Attempts != 0 {
 		t.Fatalf("restored record = %+v, want a 0-attempt fallback", rec)
 	}
-	got, err := relperf.UnmarshalGridTask(rec.Task)
+	got, err := report.UnmarshalTask(rec.Task)
 	if err != nil {
 		t.Fatal(err)
 	}

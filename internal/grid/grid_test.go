@@ -22,6 +22,7 @@ import (
 
 	"relperf"
 	"relperf/internal/fleet"
+	"relperf/internal/report"
 )
 
 const gridSuite = `{"studies":[
@@ -349,7 +350,7 @@ func TestCoordinatorHandlers(t *testing.T) {
 	}
 	// The journal entry is a valid relperf/grid-task/v1 envelope whose
 	// fingerprint matches the dispatched study.
-	task, err := relperf.UnmarshalGridTask(tr.Tasks[0].Task)
+	task, err := report.UnmarshalTask(tr.Tasks[0].Task)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,9 @@ const ResultModeSketch = "sketch"
 // profiles. Encoding is canonical — struct field order, no maps,
 // shortest-round-trip floats, and the sketches' canonical binary encoding —
 // so equal results always produce byte-identical documents, the property
-// the fleet cache and the determinism contract rely on. Exact-mode
+// the fleet cache and the determinism contract rely on. The codec in
+// codec.go writes the bytes encoding/json writes for this struct and
+// reads nothing else; the json tags record that layout. Exact-mode
 // documents are byte-identical to the pre-sketch schema: all sketch fields
 // are empty and elided.
 type ResultJSON struct {
@@ -97,17 +99,6 @@ func (r *ResultJSON) Validate() error {
 	return nil
 }
 
-// MarshalResult returns the canonical compact encoding of the result.
-func MarshalResult(r *ResultJSON) ([]byte, error) {
-	if r.Schema == "" {
-		r.Schema = ResultSchema
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(r)
-}
-
 // TaskSchema identifies the grid worker task envelope: the unit of work a
 // coordinator hands to a remote relperfd worker. The envelope is
 // self-contained — the fingerprint addresses the study, the derived seed
@@ -161,18 +152,4 @@ func UnmarshalTask(b []byte) (*TaskJSON, error) {
 		return nil, err
 	}
 	return &t, nil
-}
-
-// UnmarshalResult parses and validates a wire-format document.
-func UnmarshalResult(b []byte) (*ResultJSON, error) {
-	var r ResultJSON
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decoding result JSON: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -384,7 +384,11 @@ const sketchItemLen = 16
 // excluding it is what lets differently-streamed sketches merge into one
 // canonical state.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, sketchHeaderLen+len(s.items)*sketchItemLen)
+	return s.AppendBinary(make([]byte, 0, sketchHeaderLen+len(s.items)*sketchItemLen))
+}
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (s *Sketch) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, sketchMagic[:]...)
 	b = binary.BigEndian.AppendUint32(b, uint32(s.k))
 	b = append(b, s.theta)

@@ -2,13 +2,13 @@ package relperf
 
 // Wire encoding of Results: the canonical machine-readable JSON document
 // (schema report.ResultSchema) that the relperfd daemon serves and the
-// fleet result store persists. Equal Results encode to byte-identical
-// documents and the encoding round-trips losslessly, so cached and
-// snapshot-restored results are indistinguishable from freshly computed
-// ones.
+// fleet result store persists, written and read by internal/report's
+// hand-written codec. Equal Results encode to byte-identical documents,
+// and decoding accepts only a document that is the encoding of its own
+// result (report.Canonical), so cached, restored and remote results are
+// indistinguishable from freshly computed ones.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -48,9 +48,10 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// UnmarshalResultWire parses a document produced by MarshalWire/WriteJSON.
+// UnmarshalResultWire parses a document produced by MarshalWire (WriteJSON
+// without its newline) and refuses any other spelling of the result.
 func UnmarshalResultWire(b []byte) (*Result, error) {
-	doc, err := report.UnmarshalResult(b)
+	doc, err := report.Canonical(b)
 	if err != nil {
 		return nil, err
 	}
@@ -88,32 +89,16 @@ func (t *GridTask) MarshalWire() ([]byte, error) {
 	})
 }
 
-// UnmarshalGridTask parses a document produced by GridTask.MarshalWire.
-func UnmarshalGridTask(b []byte) (*GridTask, error) {
-	doc, err := report.UnmarshalTask(b)
-	if err != nil {
-		return nil, err
-	}
-	return &GridTask{Fingerprint: doc.Fingerprint, Seed: doc.Seed, Spec: doc.Spec}, nil
-}
-
 // VerifyGridResult checks a worker's reply against the task that produced
-// it: the blob must parse as a relperf/result/v1 document and re-encode to
-// the exact same bytes. The canonical-fixed-point check is what lets a
-// coordinator merge remote results into its store without trusting the
-// worker — a result that is valid but non-canonical would silently break
-// the byte-identity contract between grid and single-node runs.
+// it: the blob must be a canonical relperf/result/v1 document
+// (report.Canonical). That check is what lets a coordinator merge remote
+// results into its store without trusting the worker — a result that is
+// valid but non-canonical would silently break the byte-identity contract
+// between grid and single-node runs.
 func VerifyGridResult(task GridTask, blob []byte) (*Result, error) {
 	res, err := UnmarshalResultWire(blob)
 	if err != nil {
 		return nil, fmt.Errorf("relperf: grid result for %s: %w", task.Fingerprint, err)
-	}
-	again, err := res.MarshalWire()
-	if err != nil {
-		return nil, fmt.Errorf("relperf: grid result for %s: %w", task.Fingerprint, err)
-	}
-	if !bytes.Equal(again, blob) {
-		return nil, fmt.Errorf("relperf: grid result for %s is not canonical (re-encode differs; worker runs an incompatible engine)", task.Fingerprint)
 	}
 	return res, nil
 }

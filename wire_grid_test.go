@@ -7,6 +7,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"relperf/internal/report"
 )
 
 func TestGridTaskWireRoundTrip(t *testing.T) {
@@ -27,10 +29,11 @@ func TestGridTaskWireRoundTrip(t *testing.T) {
 	if !bytes.Contains(b, []byte(`"schema":"relperf/grid-task/v1"`)) {
 		t.Fatalf("envelope missing schema: %s", b)
 	}
-	got, err := UnmarshalGridTask(b)
+	doc, err := report.UnmarshalTask(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := GridTask{Fingerprint: doc.Fingerprint, Seed: doc.Seed, Spec: doc.Spec}
 	if got.Fingerprint != fp || got.Seed != seed || !bytes.Equal(got.Spec, spec) {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
@@ -53,7 +56,7 @@ func TestUnmarshalGridTaskRejects(t *testing.T) {
 		`{"schema":"relperf/grid-task/v1","fingerprint":"ab","bogus":1}`,
 		`{broken`,
 	} {
-		if _, err := UnmarshalGridTask([]byte(bad)); err == nil {
+		if _, err := report.UnmarshalTask([]byte(bad)); err == nil {
 			t.Errorf("envelope %s decoded without error", bad)
 		}
 	}
