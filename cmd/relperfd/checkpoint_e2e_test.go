@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +84,16 @@ func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 	named := func(i int) []string {
 		return []string{fmt.Sprintf("record %d", i), recs[i].Fingerprint, fmt.Sprintf("byte offset %d", recs[i].Offset)}
 	}
+	// The last result with a space after its first colon and its first
+	// sample time written with an exponent (x as xe0): the same result in
+	// other bytes, which no CRC can tell from the canonical ones.
+	data := recs[res].Data
+	at := bytes.Index(data, []byte(`"seconds":[`))
+	if at < 0 {
+		t.Fatalf("no sample time to respell in %.80s", data)
+	}
+	at += len(`"seconds":[`) + bytes.IndexAny(data[at+len(`"seconds":[`):], ",]")
+	respelled := bytes.Replace(fmt.Appendf(nil, "%se0%s", data[:at], data[at:]), []byte(`":`), []byte(`": `), 1)
 	// A v1 log: a JSON header and JSON record envelopes, CRC-valid.
 	v1 := frame(nil, []byte(`{"schema":"relperf/wal/v1","seed":7}`))
 	v1 = frame(v1, fmt.Appendf(nil, `{"type":"spec","fp":%q,"data":%s}`, recs[spec].Fingerprint, recs[spec].Data))
@@ -97,7 +106,7 @@ func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 		{"digit-flip", flip, named(res), nil},
 		{"spec-rekey", reframe(func(cp []wal.Record) { cp[spec].Fingerprint = recs[res].Fingerprint }), []string{fmt.Sprintf("record %d", spec), recs[res].Fingerprint, fmt.Sprintf("byte offset %d", recs[spec].Offset)}, nil},
 		{"not-a-result", reframe(func(cp []wal.Record) { cp[res].Data = json.RawMessage(`{"not":"a result"}`) }), named(res), nil},
-		{"non-canonical", reframe(func(cp []wal.Record) { cp[res].Data = respelled(t, cp[res].Data) }), named(res), nil},
+		{"non-canonical", reframe(func(cp []wal.Record) { cp[res].Data = respelled }), named(res), nil},
 		{"truncated", clean[:len(clean)-5], named(res), nil},
 		{"v1-json", []byte(`{"schema":"relperf/fleet-snapshot/v1","seed":7,"entries":[]}` + "\n"), []string{"relperf/fleet-snapshot/v1"}, nil},
 		{"v1-log-checkpoint", v1, []string{"relperf/wal/v1"}, nil},
@@ -143,28 +152,6 @@ func TestCheckpointCorruptionStopsDaemon(t *testing.T) {
 		}
 	}
 }
-
-// respelled is doc with a space after its first colon and its first 0.0…
-// number in exponent form (0.052… as 5.2…e-2): the same result in other
-// bytes, which no CRC can tell from the canonical ones.
-func respelled(t *testing.T, doc []byte) []byte {
-	t.Helper()
-	m := smallFloat.FindSubmatchIndex(doc)
-	if m == nil {
-		t.Fatalf("no 0.0… number to respell in %.80s", doc)
-	}
-	zeros, digits := m[5]-m[4], string(doc[m[6]:m[7]])
-	num := digits[:1]
-	if len(digits) > 1 {
-		num += "." + digits[1:]
-	}
-	out := fmt.Appendf(nil, "%s%se-%d%s", doc[:m[2]], num, zeros+1, doc[m[3]:])
-	return bytes.Replace(out, []byte(`":`), []byte(`": `), 1)
-}
-
-// smallFloat matches a whole number 0.0…: its zeros after the point and
-// its significant digits.
-var smallFloat = regexp.MustCompile(`[\[:,](0\.(0*)([1-9][0-9]*))[,\]}]`)
 
 // frame appends a frame around payload: length, CRC32, payload.
 func frame(buf, payload []byte) []byte {

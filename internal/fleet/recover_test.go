@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -303,7 +302,17 @@ func corruptions(t *testing.T, clean []byte, seed uint64) []corruption {
 	}
 	rekey := reframe(func(cp []wal.Record) { cp[spec].Fingerprint = other })
 	notResult := reframe(func(cp []wal.Record) { cp[res].Data = json.RawMessage(`{"not":"a result"}`) })
-	nonCanonical := reframe(func(cp []wal.Record) { cp[res].Data = respelled(t, cp[res].Data) })
+	// The last result with a space after its first colon and its first
+	// sample time written with an exponent (x as xe0): the same result in
+	// other bytes, which no CRC can tell from the canonical ones.
+	data := recs[res].Data
+	at := bytes.Index(data, []byte(`"seconds":[`))
+	if at < 0 {
+		t.Fatalf("no sample time to respell in %.80s", data)
+	}
+	at += len(`"seconds":[`) + bytes.IndexAny(data[at+len(`"seconds":[`):], ",]")
+	respelled := bytes.Replace(fmt.Appendf(nil, "%se0%s", data[:at], data[at:]), []byte(`":`), []byte(`": `), 1)
+	nonCanonical := reframe(func(cp []wal.Record) { cp[res].Data = respelled })
 
 	return []corruption{
 		{"digit-flip", flip, res, recs[res].Fingerprint, recs[res].Offset},
@@ -314,28 +323,6 @@ func corruptions(t *testing.T, clean []byte, seed uint64) []corruption {
 		{"v1-json", []byte(`{"schema":"relperf/fleet-snapshot/v1","seed":11,"entries":[]}`), -2, "", 0},
 	}
 }
-
-// respelled is doc with a space after its first colon and its first 0.0…
-// number in exponent form (0.052… as 5.2…e-2): the same result in other
-// bytes, which no CRC can tell from the canonical ones.
-func respelled(t *testing.T, doc []byte) []byte {
-	t.Helper()
-	m := smallFloat.FindSubmatchIndex(doc)
-	if m == nil {
-		t.Fatalf("no 0.0… number to respell in %.80s", doc)
-	}
-	zeros, digits := m[5]-m[4], string(doc[m[6]:m[7]])
-	num := digits[:1]
-	if len(digits) > 1 {
-		num += "." + digits[1:]
-	}
-	out := fmt.Appendf(nil, "%s%se-%d%s", doc[:m[2]], num, zeros+1, doc[m[3]:])
-	return bytes.Replace(out, []byte(`":`), []byte(`": `), 1)
-}
-
-// smallFloat matches a whole number 0.0…: its zeros after the point and
-// its significant digits.
-var smallFloat = regexp.MustCompile(`[\[:,](0\.(0*)([1-9][0-9]*))[,\]}]`)
 
 // wantNamed asserts err is a refusal naming c's record, or for the v1
 // snapshot, its schema.

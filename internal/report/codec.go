@@ -516,12 +516,26 @@ func (d *decoder) float() float64 {
 	return f
 }
 
-// floats reads a number array, or nil for null. Its commas up to the
-// first ']' count its elements: a number array nests no other.
+// maxFloatsHint caps the room floats reserves before parsing, so a run of
+// bare commas cannot reserve more than a few kilobytes.
+const maxFloatsHint = 512
+
+// floats reads a number array, or nil for null. It reserves room for the
+// elements whose commas lead the run of number bytes after '['. The run
+// ends at this array's own ']', or where parsing will stop, so no byte is
+// scanned ahead twice and decoding stays linear in the input.
 func (d *decoder) floats() []float64 {
 	n := 1
-	if end := bytes.IndexByte(d.b[d.pos:], ']'); end > 0 {
-		n += bytes.Count(d.b[d.pos:d.pos+end], []byte{','})
+	if d.pos < len(d.b) && d.b[d.pos] == '[' {
+		for _, c := range d.b[d.pos+1:] {
+			if c == ',' {
+				if n++; n == maxFloatsHint {
+					break
+				}
+			} else if !numberByte[c] {
+				break
+			}
+		}
 	}
 	return decList(d, n, func(d *decoder, v *float64) { *v = d.float() })
 }
@@ -557,9 +571,9 @@ func (d *decoder) members(ms *[]core.Membership) {
 	})
 }
 
-// str reads a JSON string. Escapes decode as encoding/json decodes them,
-// except that a surrogate escape becomes U+FFFD unpaired: encoding/json
-// writes none, so Canonical refuses any document that holds one.
+// str reads a JSON string. It takes only the escapes the encoder writes;
+// Canonical's re-encode refuses the rest of what it would misread, such
+// as \u0008 for \b or an upper-case hex digit.
 func (d *decoder) str() string {
 	d.lit(`"`)
 	if d.err != nil {
@@ -604,7 +618,7 @@ func (d *decoder) escaped(b []byte) string {
 			break
 		}
 		switch esc := d.b[d.pos+1]; esc {
-		case '"', '\\', '/':
+		case '"', '\\':
 			b = append(b, esc)
 		case 'b':
 			b = append(b, '\b')
@@ -622,8 +636,8 @@ func (d *decoder) escaped(b []byte) string {
 				return ""
 			}
 			v, err := strconv.ParseUint(string(d.b[d.pos+2:d.pos+6]), 16, 16)
-			if err != nil {
-				d.fail("bad \\u escape")
+			if err != nil || !escapedRune(rune(v)) {
+				d.fail("not canonical: \\u%s", d.b[d.pos+2:d.pos+6])
 				return ""
 			}
 			b = utf8.AppendRune(b, rune(v))
@@ -636,6 +650,11 @@ func (d *decoder) escaped(b []byte) string {
 	}
 	d.fail("unterminated string")
 	return ""
+}
+
+// escapedRune reports whether the encoder writes r as a \u escape.
+func escapedRune(r rune) bool {
+	return r < 0x20 || r == '<' || r == '>' || r == '&' || r == '\u2028' || r == '\u2029' || r == utf8.RuneError
 }
 
 // sketch reads a base64 sketch string through stats.DecodeSketch, or nil

@@ -6,12 +6,14 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"relperf/internal/core"
 	"relperf/internal/decision"
@@ -271,5 +273,32 @@ func TestCanonicalRefusesOtherSpellings(t *testing.T) {
 				t.Errorf("%s %s: accepted", path, name)
 			}
 		}
+	}
+}
+
+// TestDecodeLinearInNullRows: a null where a number array may stand costs
+// the decoder no look-ahead, so 3·10⁵ null score rows — a 1.5 MB document
+// any unauthenticated replica push could send — decode and are refused in
+// milliseconds. Sizing each row by the commas up to the next ']', which
+// for a null row is the end of the enclosing array, scanned ~10¹¹ bytes.
+func TestDecodeLinearInNullRows(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/result_v1_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = `"scores":`
+	i := bytes.Index(golden, []byte(key)) + len(key)
+	j := bytes.Index(golden, []byte(`,"clusters":[[`))
+	if i < len(key) || j < i {
+		t.Fatal("golden holds no scores matrix")
+	}
+	const rows = 300_000
+	doc := fmt.Appendf(nil, "%s[%snull]%s", golden[:i], bytes.Repeat([]byte("null,"), rows-1), golden[j:])
+	start := time.Now()
+	if _, err := Canonical(doc); err == nil {
+		t.Fatal("null score rows accepted")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("decoding %d null rows took %v: not linear", rows, took)
 	}
 }

@@ -51,16 +51,5 @@ func FuzzUnmarshalResultWire(f *testing.F) {
 		if !bytes.Equal(b1, data) {
 			t.Fatalf("accepted a document that is not its own re-encoding:\n input: %s\nre-enc: %s", data, b1)
 		}
-		res2, err := UnmarshalResultWire(b1)
-		if err != nil {
-			t.Fatalf("canonical re-encoding rejected: %v\ndoc: %s", err, b1)
-		}
-		b2, err := res2.MarshalWire()
-		if err != nil {
-			t.Fatalf("second marshal failed: %v", err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("marshal is not a fixed point:\n first: %s\nsecond: %s", b1, b2)
-		}
 	})
 }
