@@ -42,7 +42,7 @@ vet:
 # checkpoint reader against the recovering one) and sketch decoding must
 # never panic and must stay canonical, the batched
 # bootstrap kernel must match the value-space resample on any sample, and a
-# bulk draw must equal the same number of Intn calls for any bound.
+# tally or skip of draws must equal the same number of Intn calls.
 # `go test -fuzz` takes one target per invocation, hence one line per fuzzer.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStudySpec$$' -fuzztime $(FUZZTIME) .

@@ -226,9 +226,11 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	matrix := testing.Benchmark(benchStudy(0, true))
 	cmpBench := testing.Benchmark(BenchmarkBootstrapCompareAllocs)
 	// N=10 and N=16 are the sample sizes of the benchmark's exact and
-	// matrix studies (perfbench cold-compute).
-	cmp10 := testing.Benchmark(benchBootstrapCompare(10))
-	cmp16 := testing.Benchmark(benchBootstrapCompare(16))
+	// matrix studies (perfbench cold-compute); about two in five of their
+	// comparisons are between samples whose ranges are apart.
+	cmp10 := testing.Benchmark(benchBootstrapCompare(10, 1.1))
+	cmp10Apart := testing.Benchmark(benchBootstrapCompare(10, 3))
+	cmp16 := testing.Benchmark(benchBootstrapCompare(16, 1.1))
 	serve := testing.Benchmark(BenchmarkServerGetStudy)
 	summary := testing.Benchmark(BenchmarkServerStudySummary)
 	index4 := testing.Benchmark(benchServerIndexPage(10_000))
@@ -246,6 +248,7 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 			record("EngineStudy/sketch", sketchStudy),
 			record("BootstrapCompare", cmpBench),
 			record("BootstrapCompare/N=10", cmp10),
+			record("BootstrapCompare/N=10/separated", cmp10Apart),
 			record("BootstrapCompare/N=16", cmp16),
 			record("ServerGetStudy", serve),
 			record("ServerStudySummary", summary),
@@ -268,7 +271,7 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	if sketchAdd.AllocsPerOp() > 0 {
 		t.Errorf("Sketch.Add allocates %d/op at steady state, want 0", sketchAdd.AllocsPerOp())
 	}
-	for _, r := range []testing.BenchmarkResult{cmpBench, cmp10, cmp16} {
+	for _, r := range []testing.BenchmarkResult{cmpBench, cmp10, cmp10Apart, cmp16} {
 		if r.AllocsPerOp() != 0 {
 			t.Errorf("Bootstrap.Compare allocates %d/op after warm-up, want 0", r.AllocsPerOp())
 		}

@@ -33,6 +33,7 @@ package compare
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"relperf/internal/stats"
 	"relperf/internal/xrand"
@@ -131,7 +132,10 @@ type SortedComparator interface {
 // whatever the remaining rounds score, those rounds only draw (a, then b)
 // and are not scored, so the outcome and the generator state after the
 // call equal thresholding the full win rate. WinRate and WinRateSorted
-// score every round and return the exact rate.
+// score every round and return the exact rate. When the two samples'
+// ranges are apart (see below), every call scores nothing: every round
+// would be a win, or every round a loss, so the rounds only draw and the
+// exact rate, 1 or 0, is returned.
 //
 // Compare and WinRate sort both raw samples on every call into views the
 // comparator owns: O(N log N) against the Rounds·N draws, and nothing is
@@ -274,6 +278,24 @@ func (c *Bootstrap) score(a, b *stats.SortedSample, seal bool) (half, total int,
 		sorted[i] = q
 	}
 	stats.SortSmall(sorted)
+	rounds := c.Rounds
+	if rounds <= 0 {
+		rounds = DefaultRounds
+	}
+	total = rounds * k
+	// Certain outcomes: when the samples' ranges are apart (see below),
+	// every round scores every quantile alike, so the rounds only draw, a
+	// then b, and the count is exact.
+	if aBelow := below(a, b); aBelow || below(b, a) {
+		for r := 0; r < rounds; r++ {
+			a.Skip(c.rng)
+			b.Skip(c.rng)
+		}
+		if aBelow {
+			half = 2 * total
+		}
+		return half, total, nil
+	}
 	na, nb := a.N(), b.N()
 	counts := c.slab(na + nb)
 	ca, cb := counts[:na], counts[na:]
@@ -292,11 +314,6 @@ func (c *Bootstrap) score(a, b *stats.SortedSample, seal bool) (half, total int,
 	if nb != na {
 		planB = stats.PlanQuantiles(sorted, nb, steps[k:2*k])
 	}
-	rounds := c.Rounds
-	if rounds <= 0 {
-		rounds = DefaultRounds
-	}
-	total = rounds * k
 	var worse, better int
 	if seal {
 		worse, better = c.sealBounds(total)
@@ -329,6 +346,37 @@ func (c *Bootstrap) score(a, b *stats.SortedSample, seal bool) (half, total int,
 		}
 	}
 	return half, total, nil
+}
+
+// below reports whether every quantile of every resample of a is strictly
+// below every quantile of every resample of b, so that each round of score
+// is a win for every quantile: it holds when every value of both samples
+// is finite and ≥ 0 and nextUp(max a) < min b, nextUp(x) being the next
+// float64 above x. Proof: a resample's type-7 quantile at q is either an
+// order statistic of the resample, which lies in [min, max] of its base
+// sample, or fl(vlo + fl(f·fl(vhi − vlo))) for two of its order statistics
+// vlo ≤ vhi and 0 ≤ f < 1 (with a fused multiply-add, fl(vlo + f·fl(vhi −
+// vlo)); the bounds below hold either way). Rounding is monotone and
+// leaves representable values fixed, so with 0 ≤ vlo ≤ vhi finite:
+//   - d = fl(vhi − vlo) lies in [0, vhi] and is finite, since the exact
+//     difference does;
+//   - f·d and its rounding lie in [0, d];
+//   - so the exact sum lies in [vlo, vlo + d], and vlo + d ≤ vlo + (vhi −
+//     vlo)(1 + u) = vhi + u(vhi − vlo) ≤ vhi + u·vhi < nextUp(vhi), u = 2⁻⁵³
+//     being the unit roundoff (u·x < ulp(x) for every x ≥ 0, subnormals
+//     included, where the subtraction is exact anyway);
+//   - rounding the sum gives a value in [vlo, nextUp(vhi)].
+//
+// A quantile of a's resample is therefore at most nextUp(vhi) ≤
+// nextUp(max a) < min b, and one of b's at least min b. NaN, ±Inf and
+// negative values are outside the proof (an infinite difference times
+// f = 0 is NaN, and a negative vlo breaks d ≤ vhi); the sorted views put
+// NaN and -Inf first and +Inf last, so checking each side's ends covers
+// every value.
+func below(a, b *stats.SortedSample) bool {
+	va, vb := a.Values(), b.Values()
+	amax, bmin := va[len(va)-1], vb[0]
+	return va[0] >= 0 && math.Nextafter(amax, math.Inf(1)) < bmin && vb[len(vb)-1] <= math.MaxFloat64
 }
 
 // rate is the win rate of half half-wins over total comparisons: the float

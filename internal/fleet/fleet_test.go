@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -408,5 +409,41 @@ func TestPublishDropsSlowSubscriber(t *testing.T) {
 	slowCancel()
 	if got := s.subsDropped.Value(); got != 1 {
 		t.Fatalf("subsDropped after cancel = %d, want still 1", got)
+	}
+}
+
+// TestSubmitSpecsRefusesInvalidUTF8: a Go-built spec can hold bytes that
+// are not UTF-8, which the result encoder writes as the escape \ufffd and
+// the canonical intake then refuses on restore. SubmitSpecs refuses such a
+// spec in any string field, naming the field, before it retains or runs
+// anything; the valid spec beside it in the suite is not started either.
+func TestSubmitSpecsRefusesInvalidUTF8(t *testing.T) {
+	const bad = "bad\xffname"
+	cases := map[string]func(sp *StudySpec){
+		"program.name":     func(sp *StudySpec) { sp.Program.Name = bad },
+		"program.tasks[1]": func(sp *StudySpec) { sp.Program.Tasks[1].Name = bad },
+		"workload":         func(sp *StudySpec) { sp.Program, sp.Workload = nil, bad },
+		"comparator":       func(sp *StudySpec) { sp.Comparator = bad },
+		"placements[0]":    func(sp *StudySpec) { sp.Placements = []string{bad} },
+		"platform.edge": func(sp *StudySpec) {
+			sp.Platform = &relperf.PlatformSpec{Edge: &relperf.DeviceSpec{Name: bad, PeakFlops: 1e9, MemBandwidth: 1e9}}
+		},
+		"platform.link": func(sp *StudySpec) {
+			sp.Platform = &relperf.PlatformSpec{Link: &relperf.LinkSpec{Name: "l", Bandwidth: 1e9,
+				Noise: &relperf.NoiseSpec{Kind: "shift", Shift: 1e-6, Base: &relperf.NoiseSpec{Kind: bad}}}}
+		},
+	}
+	s := New(Options{Workers: 2, Seed: 5})
+	defer s.Close()
+	for field, corrupt := range cases {
+		spec := testSpec(t, 8)
+		corrupt(&spec)
+		_, err := s.SubmitSpecs([]StudySpec{testSpec(t, 6), spec})
+		if err == nil || !strings.Contains(err.Error(), "spec "+field+" is not valid UTF-8") {
+			t.Fatalf("%s: SubmitSpecs error %v, want it to name the field", field, err)
+		}
+	}
+	if st := s.store.Stats(); st.Specs != 0 || st.Entries != 0 || s.Computes() != 0 {
+		t.Fatalf("refused suites left %d specs, %d results and %d computes", st.Specs, st.Entries, s.Computes())
 	}
 }

@@ -27,10 +27,11 @@ import (
 // ascending list costs one pass however many quantiles it holds. What is
 // fixed for a sample size — each quantile's position and interpolation
 // weight, and the list's checks — is a QuantilePlan built once per
-// comparison, not once per round. A round's N draws are xrand.Rand.Intns
-// batches with the generator state in registers. Per round that leaves
-// the batches, the N-slot reset and one write-out; a round whose outcome
-// no longer matters only draws (Skip).
+// comparison, not once per round. A round's N draws are counted as they
+// are drawn, with the generator state in registers and no draw stored
+// (xrand.Rand.TallyIntns). Per round that leaves the draws, the N-slot
+// reset and one write-out; a round whose outcome no longer matters only
+// draws (Skip).
 //
 // Determinism contract: the kernel consumes the exact xrand draw sequence
 // of xrand.Rand.Resample (len(base) Intn(len(base)) calls per resample,
@@ -103,11 +104,6 @@ func (s *SortedSample) Quantile(q float64) float64 {
 	return QuantileSorted(s.values, q)
 }
 
-// drawBatch is how many draws Resample and Skip take per xrand.Rand.Intns
-// call. The batch lives on the stack, so a resample needs no draw buffer,
-// and one batch covers a whole resample for the usual sample sizes.
-const drawBatch = 32
-
 // rankRun is the block of positions Quantiles stores for every rank when
 // it writes out the sorted resample. A resample count is about Poisson(1),
 // so a block of four covers all but about 0.4% of ranks and only those
@@ -122,21 +118,13 @@ func RanksLen(n int) int { return n + len(rankRun{}) }
 // Resample draws one bootstrap resample (size N, with replacement) into
 // counts, which must hold N entries, as an index multiset, consuming
 // exactly the draw sequence of xrand.Rand.Resample over the original
-// sample: the N draws of Intn(N), taken in xrand.Rand.Intns batches, each
-// drawn index then mapped to its sorted rank. The counting sort is
-// implicit — incrementing counts[rank] IS the sort.
+// sample: the N draws of Intn(N), each drawn index mapped to its sorted
+// rank and counted as it is drawn (xrand.Rand.TallyIntns), so no draw is
+// stored. The counting sort is implicit — incrementing counts[rank] IS
+// the sort.
 func (s *SortedSample) Resample(rng *xrand.Rand, counts []int32) {
 	clear(counts)
-	rank := s.rank
-	n := len(rank)
-	var batch [drawBatch]int
-	for left := n; left > 0; left -= drawBatch {
-		draws := batch[:min(left, drawBatch)]
-		rng.Intns(draws, n)
-		for _, d := range draws {
-			counts[rank[d]]++
-		}
-	}
+	rng.TallyIntns(counts, s.rank)
 }
 
 // Skip advances rng exactly as Resample would and discards the draws, so
@@ -144,11 +132,7 @@ func (s *SortedSample) Resample(rng *xrand.Rand, counts []int32) {
 // longer depends on the remaining rounds call it to keep the generator on
 // the stream the full loop would leave.
 func (s *SortedSample) Skip(rng *xrand.Rand) {
-	n := s.N()
-	var batch [drawBatch]int
-	for left := n; left > 0; left -= drawBatch {
-		rng.Intns(batch[:min(left, drawBatch)], n)
-	}
+	rng.SkipIntns(s.N(), s.N())
 }
 
 // QuantileStep is one quantile of a QuantilePlan. PlanQuantiles fills it;
@@ -191,7 +175,7 @@ func PlanQuantiles(qs []float64, n int, buf []QuantileStep) QuantilePlan {
 			panic("stats: PlanQuantiles needs ascending quantiles")
 		}
 		prev = q
-		h := q * float64(n-1)
+		h := float64(q * float64(n-1))
 		lo := int(math.Floor(h))
 		last := lo+1 >= n
 		steps = append(steps, QuantileStep{
@@ -249,7 +233,7 @@ func (s *SortedSample) Quantiles(counts []int32, p QuantilePlan, ranks []int32, 
 			continue
 		}
 		vhi := values[ranks[st.lo+1]]
-		out[i] = vlo + st.frac*(vhi-vlo)
+		out[i] = vlo + float64(st.frac*(vhi-vlo))
 	}
 }
 

@@ -86,13 +86,13 @@ func assertQuantilesMatch(t *testing.T, s *SortedSample, counts []int32, sorted,
 // TestBootKernelMatchesValueSpaceResample is the determinism contract of the
 // index-space kernel: for equal generator states, every quantile of the
 // index-space resample is bit-identical to QuantileSorted over the
-// value-space resample (Resample + sort), at every tested N, across one and
-// several draw batches. Repeated quantiles read the same positions; the
+// value-space resample (Resample + sort), at every tested N from 1 to
+// 5000. Repeated quantiles read the same positions; the
 // body list, without 1, stops the write-out short of the top rank.
 func TestBootKernelMatchesValueSpaceResample(t *testing.T) {
 	full := []float64{0, 0, 0.01, 0.25, 0.5, 0.5, 0.75, 0.99, 1, 1}
 	body := []float64{0.25, 0.5, 0.75}
-	for _, n := range []int{1, 2, 3, 10, drawBatch, drawBatch + 1, 50, 500, 5000} {
+	for _, n := range []int{1, 2, 3, 10, 32, 33, 50, 500, 5000} {
 		xs := lognormalSample(xrand.New(uint64(n)), n)
 		s, counts := NewSortedSample(xs), make([]int32, n)
 		rngIdx := xrand.New(42)
@@ -253,7 +253,7 @@ func TestBootKernelResampleDrawSequence(t *testing.T) {
 // as Resample does and leave the last resample's counts untouched, so a
 // comparison that stops scoring early still ends on the full loop's stream.
 func TestBootKernelSkipDrawSequence(t *testing.T) {
-	for _, n := range []int{25, 2*drawBatch + 5} {
+	for _, n := range []int{25, 69} {
 		xs := lognormalSample(xrand.New(5), n)
 		s, counts := NewSortedSample(xs), make([]int32, n)
 		skipped, drawn := xrand.New(12), xrand.New(12)

@@ -113,7 +113,9 @@ type Sketch struct {
 	// est caches the sorted estimation array Quantile reads (retained
 	// values, bracketed by min/max once theta > 0); estMu guards its lazy
 	// build so concurrent readers of a frozen sketch race-freely share one
-	// build. Mutations invalidate it by clearing est.
+	// build. Mutations invalidate it by clearing est without the lock:
+	// they never run concurrently with reads (see Sketch), so whatever
+	// hands the mutated sketch to its readers orders the two.
 	estMu sync.Mutex
 	est   []float64
 }
@@ -285,9 +287,7 @@ func (s *Sketch) Merge(o *Sketch) error {
 
 // invalidate drops the cached estimation array after a mutation.
 func (s *Sketch) invalidate() {
-	s.estMu.Lock()
 	s.est = nil
-	s.estMu.Unlock()
 }
 
 // estArray returns the sorted array Quantile interpolates over, building and

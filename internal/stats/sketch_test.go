@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"relperf/internal/stats"
@@ -405,5 +406,47 @@ func TestSketchEmptyAndBounds(t *testing.T) {
 	}
 	if math.IsNaN(stats.SketchEpsilon(256)) || stats.SketchEpsilon(256) != 2.0/16.0 {
 		t.Errorf("SketchEpsilon(256) = %v", stats.SketchEpsilon(256))
+	}
+}
+
+// TestSketchConcurrentReadersAcrossMutations: Add clears the cached
+// estimation array without a lock, so a sketch read by several goroutines,
+// then grown by its owner once they are done, then read again, must give
+// every reader the quantiles of its current contents (equal to a twin
+// sketch read serially) without a data race under -race.
+func TestSketchConcurrentReadersAcrossMutations(t *testing.T) {
+	shared, err := stats.NewSketch(64, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := stats.NewSketch(64, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(6)
+	qs := []float64{0, 0.1, 0.5, 0.9, 1}
+	for phase := 0; phase < 4; phase++ {
+		for i := 0; i < 500; i++ {
+			v := rng.LogNormal(0, 1)
+			shared.Add(v)
+			twin.Add(v)
+		}
+		want := make([]float64, len(qs))
+		for i, q := range qs {
+			want[i] = twin.Quantile(q)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, q := range qs {
+					if got := shared.Quantile(q); got != want[i] {
+						t.Errorf("phase %d: Quantile(%v) = %v, serial twin gives %v", phase, q, got, want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -4,6 +4,12 @@
 //
 // All functions treat their float64-slice inputs as samples of performance
 // measurements. Unless documented otherwise they do not mutate inputs.
+//
+// Every product that feeds a sum is rounded explicitly, float64(x*y) + z:
+// the conversion forbids the compiler to fuse the two into one
+// multiply-add, which arm64 would otherwise do and amd64 never does, so
+// both compute the same bits (TestNoFusedMultiplyAdd at the repository
+// root checks the arm64 build).
 package stats
 
 import (
@@ -38,7 +44,7 @@ func Variance(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(n-1)
 }
@@ -99,14 +105,14 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	if n == 1 {
 		return sorted[0]
 	}
-	h := q * float64(n-1)
+	h := float64(q * float64(n-1))
 	lo := int(math.Floor(h))
 	hi := lo + 1
 	if hi >= n {
 		return sorted[n-1]
 	}
 	frac := h - float64(lo)
-	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
+	return sorted[lo] + float64(frac*(sorted[hi]-sorted[lo]))
 }
 
 // Quantiles evaluates several quantiles with a single sort.
@@ -196,7 +202,7 @@ func KSPValue(d float64, n, m int) float64 {
 	var sum float64
 	sign := 1.0
 	for k := 1; k <= 100; k++ {
-		term := sign * math.Exp(-2*float64(k*k)*lambda*lambda)
+		term := float64(sign * math.Exp(-2*float64(k*k)*lambda*lambda))
 		sum += term
 		if math.Abs(term) < 1e-12 {
 			break
@@ -243,7 +249,7 @@ func MannWhitneyU(a, b []float64) (u, p float64) {
 			ranks[k] = mid
 		}
 		t := float64(j - i)
-		tieCorrection += t*t*t - t
+		tieCorrection += float64(t*t*t) - t
 		i = j
 	}
 
@@ -254,11 +260,11 @@ func MannWhitneyU(a, b []float64) (u, p float64) {
 		}
 	}
 	na, nb := float64(len(a)), float64(len(b))
-	u1 := ra - na*(na+1)/2 // U for a (pairs where a > b, ties 1/2)
+	u1 := ra - float64(na*(na+1)/2) // U for a (pairs where a > b, ties 1/2)
 	u = u1
 
 	// Normal approximation.
-	mu := na * nb / 2
+	mu := float64(na * nb / 2)
 	n := na + nb
 	sigma2 := na * nb / 12 * ((n + 1) - tieCorrection/(n*(n-1)))
 	if sigma2 <= 0 {
@@ -275,7 +281,7 @@ func MannWhitneyU(a, b []float64) (u, p float64) {
 
 // normalTail returns P[Z > z] for standard normal Z.
 func normalTail(z float64) float64 {
-	return 0.5 * math.Erfc(z/math.Sqrt2)
+	return float64(0.5 * math.Erfc(z/math.Sqrt2))
 }
 
 // Histogram is a fixed-width binning of a sample, used for rendering the
@@ -318,7 +324,7 @@ func (h *Histogram) Add(x float64) {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
+	return h.Lo + float64((float64(i)+0.5)*w)
 }
 
 // Mode returns the index of the most populated bin (first on ties).

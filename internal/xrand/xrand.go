@@ -11,6 +11,11 @@
 // The core generator is xoshiro256++ seeded through SplitMix64, the
 // construction recommended by Blackman & Vigna. It passes BigCrush and is
 // more than adequate for simulation workloads.
+//
+// Every product that feeds a sum is rounded explicitly, float64(x*y) + z,
+// so that no architecture fuses it into one multiply-add and every variate
+// has the same bits on arm64 as on amd64 (TestNoFusedMultiplyAdd at the
+// repository root checks the arm64 build).
 package xrand
 
 import (
@@ -57,8 +62,8 @@ func (r *Rand) Seed(seed uint64) {
 
 // Uint64 returns the next 64 uniformly distributed bits. The state words
 // live in locals so the function stays within the compiler's inlining
-// budget: every draw (Intn, Float64, and through them the bootstrap
-// resamples and the simulator's noise) runs without a call.
+// budget: every draw (Intn, Float64, and through them the simulator's
+// noise) runs without a call.
 func (r *Rand) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	result := bits.RotateLeft64(s0+s3, 23) + s0
@@ -71,6 +76,23 @@ func (r *Rand) Uint64() uint64 {
 	s3 = bits.RotateLeft64(s3, 45)
 	r.s = [4]uint64{s0, s1, s2, s3}
 	return result
+}
+
+// step is Uint64's xoshiro256++ step on state words held in locals: it
+// returns the output word and the next state. The bulk draw loops below
+// call it, inlined, per draw, so the state stays in registers for a whole
+// loop. (Uint64 spells the step out: calling step would put it past the
+// inlining budget.)
+func step(s0, s1, s2, s3 uint64) (uint64, uint64, uint64, uint64, uint64) {
+	v := bits.RotateLeft64(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return v, s0, s1, s2, s3
 }
 
 // Split returns a new generator whose stream is statistically independent of
@@ -122,34 +144,50 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Intns fills dst with exactly the values of len(dst) successive Intn(n)
-// calls and leaves the generator where those calls would. The state words
-// stay in locals for the whole batch instead of a load and store per draw,
-// and Lemire's rejection bound (-n) mod n is computed once: Intn's extra
-// `lo >= n` test only skips that modulo, since the bound is below n. An
-// empty dst is a no-op for any n; otherwise it panics if n <= 0.
-func (r *Rand) Intns(dst []int, n int) {
-	if len(dst) == 0 {
+// TallyIntns draws what len(rank) successive Intn(len(rank)) calls would
+// and counts each draw d as counts[rank[d]]++, leaving the generator where
+// those calls would. The state words stay in
+// locals for the whole loop, no draw is stored, and Lemire's rejection
+// bound (-n) mod n is computed once: Intn's extra `lo >= n` test only
+// skips that modulo, since the bound is below n. counts must hold every
+// value rank maps to; an empty rank is a no-op.
+func (r *Rand) TallyIntns(counts, rank []int32) {
+	n := len(rank)
+	if n == 0 {
 		return
-	}
-	if n <= 0 {
-		panic("xrand: Intns with non-positive n")
 	}
 	bound := uint64(n)
 	reject := -bound % bound
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := 0; i < len(dst); {
-		v := bits.RotateLeft64(s0+s3, 23) + s0
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
+	for i := 0; i < n; {
+		var v uint64
+		v, s0, s1, s2, s3 = step(s0, s1, s2, s3)
 		hi, lo := bits.Mul64(v, bound)
 		if lo >= reject {
-			dst[i] = int(hi)
+			counts[rank[hi]]++
+			i++
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// SkipIntns advances the generator exactly as m successive Intn(n) calls
+// would and discards the draws, with TallyIntns' register-resident loop.
+// m <= 0 is a no-op for any n; otherwise it panics if n <= 0.
+func (r *Rand) SkipIntns(m, n int) {
+	if m <= 0 {
+		return
+	}
+	if n <= 0 {
+		panic("xrand: SkipIntns with non-positive n")
+	}
+	bound := uint64(n)
+	reject := -bound % bound
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i < m; {
+		var v uint64
+		v, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		if _, lo := bits.Mul64(v, bound); lo >= reject {
 			i++
 		}
 	}
@@ -163,7 +201,7 @@ func (r *Rand) Float64() float64 {
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a standard normal variate (polar Box–Muller; the spare value
@@ -172,7 +210,7 @@ func (r *Rand) Norm() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -181,7 +219,7 @@ func (r *Rand) Norm() float64 {
 
 // Normal returns a normal variate with the given mean and standard deviation.
 func (r *Rand) Normal(mean, sigma float64) float64 {
-	return mean + sigma*r.Norm()
+	return mean + float64(sigma*r.Norm())
 }
 
 // LogNormal returns exp(N(mu, sigma)); the distribution of multiplicative
@@ -236,7 +274,7 @@ func (r *Rand) Gamma(k, theta float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := r.Norm()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
@@ -245,7 +283,7 @@ func (r *Rand) Gamma(k, theta float64) float64 {
 		if u == 0 {
 			continue
 		}
-		if math.Log(u) < 0.5*x*x+d-d*v+d*math.Log(v) {
+		if math.Log(u) < float64(0.5*x*x)+d-float64(d*v)+float64(d*math.Log(v)) {
 			return d * v * theta
 		}
 	}

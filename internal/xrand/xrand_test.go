@@ -456,47 +456,100 @@ func TestNewKeyedIndependentStreams(t *testing.T) {
 	}
 }
 
-// TestIntnsMatchesIntn: a batch is exactly the draws of successive Intn
-// calls and leaves the generator where they would. At 3<<61 Lemire's method
-// rejects about a quarter of the raw words, so the rejection branch runs
-// inside the batch many times.
+// identityRank maps every draw to itself, so a tally counts each value of
+// [0, n) as often as it was drawn.
+func identityRank(n int) []int32 {
+	rank := make([]int32, n)
+	for i := range rank {
+		rank[i] = int32(i)
+	}
+	return rank
+}
+
+// checkTally holds TallyIntns to n successive Intn(n) calls on a twin
+// generator: it counts exactly those draws through rank, adds to what
+// counts already holds, and leaves the generator where they would.
+func checkTally(t *testing.T, seed uint64, rank []int32) {
+	t.Helper()
+	n := len(rank)
+	tally, single := New(seed), New(seed)
+	got, want := make([]int32, n+1), make([]int32, n+1)
+	got[n], want[n] = 7, 7 // a slot rank never reaches keeps its value
+	tally.TallyIntns(got, rank)
+	for i := 0; i < n; i++ {
+		want[rank[single.Intn(n)]]++
+	}
+	for v := range got {
+		if got[v] != want[v] {
+			t.Fatalf("seed=%d n=%d: counts[%d] = %d, Intn draws give %d", seed, n, v, got[v], want[v])
+		}
+	}
+	if tally.Uint64() != single.Uint64() {
+		t.Fatalf("seed=%d n=%d: generators diverged after the tally", seed, n)
+	}
+}
+
+// checkSkip holds SkipIntns(m, n) to m successive Intn(n) calls: the
+// generator must end where they leave it.
+func checkSkip(t *testing.T, seed uint64, m, n int) {
+	t.Helper()
+	skip, single := New(seed), New(seed)
+	skip.SkipIntns(m, n)
+	for i := 0; i < m; i++ {
+		single.Intn(n)
+	}
+	if skip.Uint64() != single.Uint64() {
+		t.Fatalf("seed=%d m=%d n=%d: generators diverged after the skip", seed, m, n)
+	}
+}
+
+// TestIntnsMatchesIntn: a tally counts exactly the draws of successive
+// Intn calls, through any rank map, and a skip advances the generator
+// exactly as they do; both leave it where the calls would. A reversed map
+// tells counts[rank[d]] from counts[d]. A tally's bound is a slice length,
+// so Lemire's method rejects fewer than n in 2^64 of its raw words; the
+// skips run the rejection branch the two loops share, since at 3<<61 it
+// rejects about a quarter of the raw words.
 func TestIntnsMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 10, 16, 64, 1000, 1<<16 + 1} {
+		rank := identityRank(n)
+		checkTally(t, uint64(n), rank)
+		for i := range rank {
+			rank[i] = int32(n - 1 - i)
+		}
+		checkTally(t, uint64(n)+1, rank)
+	}
 	for _, n := range []int{1, 2, 3, 10, 16, 1 << 20, 3 << 61} {
-		for _, size := range []int{1, 7, 64, 1000} {
-			batch, single := New(uint64(n)+uint64(size)), New(uint64(n)+uint64(size))
-			got := make([]int, size)
-			batch.Intns(got, n)
-			for i, v := range got {
-				if want := single.Intn(n); v != want {
-					t.Fatalf("n=%d size=%d: draw %d = %d, Intn gives %d", n, size, i, v, want)
-				}
-			}
-			if batch.Uint64() != single.Uint64() {
-				t.Fatalf("n=%d size=%d: generators diverged after the batch", n, size)
-			}
+		for _, m := range []int{1, 7, 64, 1000} {
+			checkSkip(t, uint64(n)+uint64(m), m, n)
 		}
 	}
 }
 
-// TestIntnsEmpty: an empty batch draws nothing, whatever n is, so a
-// zero-size resample stays a no-op as the per-draw loop was.
+// TestIntnsEmpty: an empty tally or skip draws nothing, whatever n is, so
+// a zero-size resample stays a no-op as the per-draw loop was; a skip of
+// draws from an empty range panics as Intn(0) does.
 func TestIntnsEmpty(t *testing.T) {
 	a, b := New(3), New(3)
-	a.Intns(nil, 0)
-	a.Intns([]int{}, 5)
+	a.TallyIntns(nil, nil)
+	a.TallyIntns([]int32{4}, []int32{})
+	a.SkipIntns(0, 0)
+	a.SkipIntns(0, 5)
+	a.SkipIntns(-1, 5)
 	if a.Uint64() != b.Uint64() {
-		t.Fatal("an empty batch advanced the generator")
+		t.Fatal("an empty tally or skip advanced the generator")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Intns with n = 0 did not panic")
+			t.Fatal("SkipIntns with n = 0 did not panic")
 		}
 	}()
-	a.Intns(make([]int, 1), 0)
+	a.SkipIntns(1, 0)
 }
 
-// FuzzIntns holds a batch to successive Intn calls for any seed, any
-// positive bound and batch sizes up to 2047.
+// FuzzIntns holds both bulk draw loops to successive Intn calls for any
+// seed: a skip for any positive bound and up to 2047 draws, and a tally
+// through a seed-shuffled rank map of up to 2047 entries.
 func FuzzIntns(f *testing.F) {
 	f.Add(uint64(1), uint64(1), uint16(1))
 	f.Add(uint64(2), uint64(10), uint16(30))
@@ -507,16 +560,10 @@ func FuzzIntns(f *testing.F) {
 		if bound == 0 {
 			bound = 1
 		}
-		batch, single := New(seed), New(seed)
-		got := make([]int, size%2048)
-		batch.Intns(got, bound)
-		for i, v := range got {
-			if want := single.Intn(bound); v != want {
-				t.Fatalf("n=%d: draw %d = %d, Intn gives %d", bound, i, v, want)
-			}
-		}
-		if batch.Uint64() != single.Uint64() {
-			t.Fatalf("n=%d size=%d: generators diverged after the batch", bound, len(got))
-		}
+		m := int(size % 2048)
+		checkSkip(t, seed, m, bound)
+		rank := identityRank(m)
+		New(seed^n).Shuffle(m, func(i, j int) { rank[i], rank[j] = rank[j], rank[i] })
+		checkTally(t, seed, rank)
 	})
 }

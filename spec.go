@@ -25,6 +25,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"relperf/internal/compare"
 	"relperf/internal/device"
@@ -318,6 +319,9 @@ func ensureEOF(dec *json.Decoder) error {
 // Validate checks the spec without resolving it: every out-of-range value,
 // kernel/field mix-up and unknown name is an explicit error.
 func (sp *StudySpec) Validate() error {
+	if field := sp.invalidUTF8(); field != "" {
+		return fmt.Errorf("relperf: spec %s is not valid UTF-8", field)
+	}
 	if (sp.Workload == "") == (sp.Program == nil) {
 		return fmt.Errorf("relperf: spec must set exactly one of workload and program")
 	}
@@ -385,6 +389,67 @@ func (sp *StudySpec) Validate() error {
 		return err
 	}
 	return checkPlacements(placements, sp.taskCount())
+}
+
+// invalidUTF8 names where the spec's first string that is not valid UTF-8
+// sits, as a JSON path to the field or to the object holding it, or
+// returns "" if every string is valid. A spec parsed from JSON
+// never holds one (the decoder substitutes U+FFFD), but a Go-built one can,
+// and its names reach the result: the result encoder writes such bytes as
+// the escape \ufffd, which decodes to a different string, so the result
+// could never pass the canonical intake check after a restore.
+func (sp *StudySpec) invalidUTF8() string {
+	bad := func(s string) bool { return !utf8.ValidString(s) }
+	switch {
+	case bad(sp.Workload):
+		return "workload"
+	case bad(sp.Comparator):
+		return "comparator"
+	}
+	for i, pl := range sp.Placements {
+		if bad(pl) {
+			return fmt.Sprintf("placements[%d]", i)
+		}
+	}
+	if pr := sp.Program; pr != nil {
+		if bad(pr.Name) {
+			return "program.name"
+		}
+		for i := range pr.Tasks {
+			if ts := &pr.Tasks[i]; bad(ts.Name) || bad(ts.Kernel) {
+				return fmt.Sprintf("program.tasks[%d]", i)
+			}
+		}
+	}
+	pf := sp.Platform
+	if pf == nil {
+		return ""
+	}
+	if bad(pf.Name) || bad(pf.Preset) {
+		return "platform"
+	}
+	for _, d := range []struct {
+		field string
+		spec  *DeviceSpec
+	}{{"platform.edge", pf.Edge}, {"platform.accel", pf.Accel}} {
+		if d.spec != nil && (bad(d.spec.Preset) || bad(d.spec.Name) || !d.spec.Noise.validUTF8()) {
+			return d.field
+		}
+	}
+	if l := pf.Link; l != nil && (bad(l.Preset) || bad(l.Name) || !l.Noise.validUTF8()) {
+		return "platform.link"
+	}
+	return ""
+}
+
+// validUTF8 reports whether every kind in the noise chain is valid UTF-8.
+func (ns *NoiseSpec) validUTF8() bool {
+	for ; ns != nil; ns = ns.Base {
+		if !utf8.ValidString(ns.Kind) {
+			return false
+		}
+	}
+	return true
 }
 
 // placements parses the spec's placement names.
