@@ -226,8 +226,9 @@ func TestEmitEngineBenchJSON(t *testing.T) {
 	matrix := testing.Benchmark(benchStudy(0, true))
 	cmpBench := testing.Benchmark(BenchmarkBootstrapCompareAllocs)
 	// N=10 and N=16 are the sample sizes of the benchmark's exact and
-	// matrix studies (perfbench cold-compute); about two in five of their
-	// comparisons are between samples whose ranges are apart.
+	// matrix studies (perfbench cold-compute); about half of a custom
+	// program's comparisons there are between samples whose ranges are
+	// apart.
 	cmp10 := testing.Benchmark(benchBootstrapCompare(10, 1.1))
 	cmp10Apart := testing.Benchmark(benchBootstrapCompare(10, 3))
 	cmp16 := testing.Benchmark(benchBootstrapCompare(16, 1.1))
